@@ -262,8 +262,12 @@ def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
     if ":" in text:
         lo, _, hi = text.partition(":")
-        return list(range(int(lo), int(hi)))
-    return [int(part) for part in text.split(",") if part.strip()]
+        seeds = list(range(int(lo), int(hi)))
+    else:
+        seeds = [int(part) for part in text.split(",") if part.strip()]
+    if not seeds:
+        raise ValueError(f"empty seed range {text!r}")
+    return seeds
 
 
 def cmd_bench(args: argparse.Namespace) -> int:

@@ -11,6 +11,7 @@ the tree cost.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
@@ -54,6 +55,7 @@ class Solution:
     tree_cost: float
     star_power: float
     residual_arcs: frozenset[Arc]
+    center_scans: int = 0  # per-center quotient walks made by select_best_star
 
     @property
     def iterations(self) -> int:
@@ -91,15 +93,83 @@ def ratio_bound(alpha: float) -> float:
     return 1.0 + alpha + alpha * math.log(1.0 / alpha)
 
 
+def _scan_center(
+    inst: Instance,
+    u: int,
+    label: list[int],
+    qadj: dict[int, list[tuple[int, float]]],
+    ncomp: int,
+) -> tuple[float, float, float] | None:
+    """Best (ratio, gain, radius) of the stars at center u, or None if none gains.
+
+    Walks the quotient tree once from u's component, which yields the gain of
+    every radius at u; ties break toward larger gain, then smaller radius.
+    """
+    root = label[u]
+    # BFS parents on the quotient tree rooted at this center's component
+    qpar: dict[int, int] = {root: -1}
+    qcost: dict[int, float] = {}
+    queue = [root]
+    qi = 0
+    while qi < len(queue):
+        x = queue[qi]
+        qi += 1
+        for y, c in qadj.get(x, ()):
+            if y not in qpar:
+                qpar[y] = x
+                qcost[y] = c
+                queue.append(y)
+
+    best: tuple[float, float, float] | None = None
+    reached = {root}
+    acc = 0.0
+    prev_cost: float | None = None
+
+    def consider(radius: float, gain: float) -> None:
+        nonlocal best
+        if gain <= 0.0:
+            return
+        ratio = math.inf if radius == 0.0 else gain / radius
+        if best is None or ratio > best[0] or (ratio == best[0] and gain > best[1]):
+            best = (ratio, gain, radius)
+
+    for c, v, _ in inst.adj[u]:
+        if prev_cost is not None and c != prev_cost:
+            consider(prev_cost, acc)
+        prev_cost = c
+        lv = label[v]
+        while lv not in reached:
+            reached.add(lv)
+            acc += qcost[lv]
+            lv = qpar[lv]
+        if len(reached) == ncomp:
+            # larger radii at this center add no gain and only cost more
+            consider(c, acc)
+            prev_cost = None
+            break
+    if prev_cost is not None:
+        consider(prev_cost, acc)
+    return best
+
+
 def select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
     """Argmax of coverage gain per unit radius over all canonical stars.
 
-    Scans each center once over the quotient tree obtained by contracting
-    covered edges, which yields the gain of every radius at that center in a
-    single walk.  Zero-gain stars are skipped: while any tree edge is
-    uncovered, the star at one endpoint with the edge's own cost as radius has
-    positive gain and ratio >= 1, so a positive-gain candidate always exists.
-    Ties break toward larger gain, then smaller center id, then smaller radius.
+    Lazy (Minoux) selection: state.bounds is a heap holding, per center, the
+    key (-ratio, -gain, center, radius, stamp) of its best star as of the
+    state version stamp = len(state.chosen).  Coverage is monotone and
+    submodular, so a center's gain at every radius can only fall as stars are
+    applied, and a stale key is an upper bound on the current one.  That holds
+    in floating point too: a later scan adds a subsequence of the earlier
+    terms in the same order, and rounded addition is monotone.  So stale tops
+    are rescanned until the top is current; that top is the argmax, and it
+    stays in the heap as the next call's bound.  Centers whose gain reaches 0
+    leave the heap for good.
+
+    Zero-gain stars are skipped: while any tree edge is uncovered, the star at
+    one endpoint with the edge's own cost as radius has positive gain and ratio
+    >= 1, so a positive-gain candidate always exists.  The heap order breaks
+    ties toward larger gain, then smaller center id, then smaller radius.
     """
     if state.all_covered:
         raise RuntimeError("select_best_star called with every tree edge covered")
@@ -116,73 +186,30 @@ def select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
         qadj.setdefault(lu, []).append((lv, c))
         qadj.setdefault(lv, []).append((lu, c))
 
-    best_ratio = -1.0
-    best_gain = 0.0
-    best_center = -1
-    best_radius = 0.0
+    heap = state.bounds
+    stamp = len(state.chosen)
+    while heap and heap[0][4] != stamp:
+        u = heap[0][2]
+        found = _scan_center(inst, u, label, qadj, ncomp)
+        state.center_scans += 1
+        if found is None:
+            heapq.heappop(heap)
+        else:
+            ratio, gain, radius = found
+            heapq.heapreplace(heap, (-ratio, -gain, u, radius, stamp))
 
-    qpar: dict[int, int] = {}
-    qcost: dict[int, float] = {}
-    for u in range(inst.n):
-        root = label[u]
-        # BFS parents on the quotient tree rooted at this center's component
-        qpar.clear()
-        qcost.clear()
-        qpar[root] = -1
-        queue = [root]
-        qi = 0
-        while qi < len(queue):
-            x = queue[qi]
-            qi += 1
-            for y, c in qadj.get(x, ()):
-                if y not in qpar:
-                    qpar[y] = x
-                    qcost[y] = c
-                    queue.append(y)
-
-        reached = {root}
-        acc = 0.0
-        prev_cost: float | None = None
-
-        def consider(radius: float, gain: float) -> None:
-            nonlocal best_ratio, best_gain, best_center, best_radius
-            if gain <= 0.0:
-                return
-            ratio = math.inf if radius == 0.0 else gain / radius
-            if ratio > best_ratio or (ratio == best_ratio and gain > best_gain):
-                best_ratio = ratio
-                best_gain = gain
-                best_center = u
-                best_radius = radius
-
-        for c, v, _ in inst.adj[u]:
-            if prev_cost is not None and c != prev_cost:
-                consider(prev_cost, acc)
-            prev_cost = c
-            lv = label[v]
-            while lv not in reached:
-                reached.add(lv)
-                acc += qcost[lv]
-                lv = qpar[lv]
-            if len(reached) == ncomp:
-                # larger radii at this center add no gain and only cost more
-                consider(c, acc)
-                prev_cost = None
-                break
-        if prev_cost is not None:
-            consider(prev_cost, acc)
-
-    if best_center < 0:
+    if not heap:
         raise RuntimeError(
             "no positive-gain star while tree edges remain uncovered; "
             "coverage accounting is broken"
         )
+    _, neg_gain, best_center, best_radius, _ = heap[0]
     leaves = []
     for c, v, _ in inst.adj[best_center]:
         if c > best_radius:
             break
         leaves.append(v)
-    return Star(best_center, best_radius, frozenset(leaves)), best_gain
+    return Star(best_center, best_radius, frozenset(leaves)), -neg_gain
 
 
 def _precover_zero_edges(state: CoverState) -> list[TraceEntry]:
@@ -237,6 +264,7 @@ def greedy_solve(inst: Instance) -> Solution:
         tree_cost=tree.total_cost,
         star_power=star_power,
         residual_arcs=frozenset(state.arcs_left),
+        center_scans=state.center_scans,
     )
 
 

@@ -156,7 +156,7 @@ def gen_line(n: int, epsilon: float) -> Instance:
     edges = []
     for u in range(count):
         for v in range(u + 1, count):
-            units = sum(1 for g in range(u, v) if g % 2 == 0)
+            units = (v - u + 1 - u % 2) // 2  # even gaps among u..v-1
             epses = (v - u) - units
             dist = units + epses * epsilon
             edges.append((u, v, dist * dist))
@@ -327,8 +327,14 @@ def write_assignment(assignment: PowerAssignment, path: str) -> None:
 
 
 def read_assignment(path: str, n: int) -> PowerAssignment:
-    """Read 'v power' lines; vertices missing from the file get power 0."""
+    """Read 'v power' lines; vertices missing from the file get power 0.
+
+    Rejects NaN, infinite and negative powers and repeated vertices, naming
+    the offending line: a NaN or inf power would act as unlimited range and
+    let an invalid assignment verify.
+    """
     levels = [0.0] * n
+    seen: set[int] = set()
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
@@ -343,5 +349,10 @@ def read_assignment(path: str, n: int) -> PowerAssignment:
                 raise InstanceError(f"{path}:{lineno}: malformed assignment line") from None
             if not 0 <= v < n:
                 raise InstanceError(f"{path}:{lineno}: vertex {v} out of range")
+            if not math.isfinite(power) or power < 0.0:
+                raise InstanceError(f"{path}:{lineno}: bad power {power!r} for vertex {v}")
+            if v in seen:
+                raise InstanceError(f"{path}:{lineno}: duplicate vertex {v}")
+            seen.add(v)
             levels[v] = power
     return PowerAssignment(tuple(levels))

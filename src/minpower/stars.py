@@ -9,6 +9,7 @@ monotone and submodular, which is what makes the greedy ratio analysis work.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from minpower.graph import Arc, Instance, Tree, bidirect
@@ -95,8 +96,9 @@ def directed_cover(tree: Tree, star: Star) -> set[Arc]:
 class CoverState:
     """Mutable bookkeeping for a star collection covering tree edges.
 
-    Tracks the chosen stars, the covered tree-edge set and its cost, and the
-    surviving arcs of the bidirected tree.  An edge is covered exactly when one
+    Tracks the chosen stars, the covered tree-edge set and its cost, the
+    surviving arcs of the bidirected tree, and the greedy's per-center upper
+    bounds with its count of center scans.  An edge is covered exactly when one
     of its two antiparallel arcs has been removed; the other arc never leaves.
     """
 
@@ -110,6 +112,13 @@ class CoverState:
         # contraction of covered edges: component label per vertex
         self._label = list(range(inst.n))
         self._members: dict[int, list[int]] = {v: [v] for v in range(inst.n)}
+        # lazy greedy: heap of stale best-star keys (-ratio, -gain, center,
+        # radius, stamp), stamped with len(chosen) when scanned; every center
+        # starts with a never-scanned sentinel that sorts above any real key
+        self.bounds: list[tuple[float, float, int, float, int]] = [
+            (-math.inf, -math.inf, u, 0.0, -1) for u in range(inst.n)
+        ]
+        self.center_scans = 0
 
     @property
     def all_covered(self) -> bool:

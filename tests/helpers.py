@@ -1,16 +1,114 @@
 """Shared brute-force oracles and instance builders for the test suite.
 
-Everything here recomputes results by definition-level enumeration, staying
-independent of the library code paths it is used to check.
+Everything here recomputes results by definition-level enumeration or by an
+older, simpler algorithm (the eager greedy scan), staying independent of the
+library code paths it is used to check.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from minpower.graph import Arc, Instance, Tree
 from minpower.stars import CoverState, Star, apply_star, marginal_gain
+
+
+def eager_select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
+    """Argmax of coverage gain per unit radius over all canonical stars.
+
+    The eager scan that the lazy select_best_star replaced, kept as its
+    differential oracle.  Scans every center once over the quotient tree
+    obtained by contracting covered edges, which yields the gain of every
+    radius at that center in a single walk.  Zero-gain stars are skipped:
+    while any tree edge is uncovered, the star at one endpoint with the edge's
+    own cost as radius has positive gain and ratio >= 1, so a positive-gain
+    candidate always exists.  Ties break toward larger gain, then smaller
+    center id, then smaller radius.
+    """
+    if state.all_covered:
+        raise RuntimeError("eager_select_best_star called with every tree edge covered")
+    tree = state.tree
+    label = state._label
+    ncomp = state.component_count()
+
+    # quotient tree over component labels: uncovered edges only
+    qadj: dict[int, list[tuple[int, float]]] = {}
+    for idx, (u, v, c) in enumerate(tree.edges):
+        if idx in state.covered:
+            continue
+        lu, lv = label[u], label[v]
+        qadj.setdefault(lu, []).append((lv, c))
+        qadj.setdefault(lv, []).append((lu, c))
+
+    best_ratio = -1.0
+    best_gain = 0.0
+    best_center = -1
+    best_radius = 0.0
+
+    qpar: dict[int, int] = {}
+    qcost: dict[int, float] = {}
+    for u in range(inst.n):
+        root = label[u]
+        # BFS parents on the quotient tree rooted at this center's component
+        qpar.clear()
+        qcost.clear()
+        qpar[root] = -1
+        queue = [root]
+        qi = 0
+        while qi < len(queue):
+            x = queue[qi]
+            qi += 1
+            for y, c in qadj.get(x, ()):
+                if y not in qpar:
+                    qpar[y] = x
+                    qcost[y] = c
+                    queue.append(y)
+
+        reached = {root}
+        acc = 0.0
+        prev_cost: float | None = None
+
+        def consider(radius: float, gain: float) -> None:
+            nonlocal best_ratio, best_gain, best_center, best_radius
+            if gain <= 0.0:
+                return
+            ratio = math.inf if radius == 0.0 else gain / radius
+            if ratio > best_ratio or (ratio == best_ratio and gain > best_gain):
+                best_ratio = ratio
+                best_gain = gain
+                best_center = u
+                best_radius = radius
+
+        for c, v, _ in inst.adj[u]:
+            if prev_cost is not None and c != prev_cost:
+                consider(prev_cost, acc)
+            prev_cost = c
+            lv = label[v]
+            while lv not in reached:
+                reached.add(lv)
+                acc += qcost[lv]
+                lv = qpar[lv]
+            if len(reached) == ncomp:
+                # larger radii at this center add no gain and only cost more
+                consider(c, acc)
+                prev_cost = None
+                break
+        if prev_cost is not None:
+            consider(prev_cost, acc)
+
+    if best_center < 0:
+        raise RuntimeError(
+            "no positive-gain star while tree edges remain uncovered; "
+            "coverage accounting is broken"
+        )
+    leaves = []
+    for c, v, _ in inst.adj[best_center]:
+        if c > best_radius:
+            break
+        leaves.append(v)
+    return Star(best_center, best_radius, frozenset(leaves)), best_gain
 
 
 def random_connected_instance(rng: random.Random, n: int, complete: bool = False) -> Instance:

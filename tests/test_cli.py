@@ -117,6 +117,23 @@ class TestVerify:
         assert code == 2
         assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("power", ["nan", "inf", "-1"])
+    def test_hostile_power_exits_1(self, line_instance, tmp_path, capsys, power):
+        path = tmp_path / "hostile.txt"
+        path.write_text("".join(f"{v} {power}\n" for v in range(10)))
+        code = main(["verify", str(line_instance), str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "hostile.txt:1: bad power" in captured.err
+
+    def test_duplicate_vertex_exits_1(self, line_instance, tmp_path, capsys):
+        path = tmp_path / "dup.txt"
+        path.write_text("".join(f"{v} 100\n" for v in range(10)) + "4 100\n")
+        code = main(["verify", str(line_instance), str(path)])
+        assert code == 1
+        assert "dup.txt:11: duplicate vertex 4" in capsys.readouterr().err
+
 
 class TestBench:
     def test_fifty_seed_sweep_with_exact(self, tmp_path, capsys):
@@ -166,6 +183,14 @@ class TestBench:
         assert code == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert len(records) == 2  # one row + summary
+
+    @pytest.mark.parametrize("seeds", ["5:2", "3:3", ","])
+    def test_empty_seed_range_exits_1(self, capsys, seeds):
+        code = main(["bench", "--spec", "family=random-geometric,n=5,kappa=1", "--seeds", seeds])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "empty seed range" in captured.err
+        assert captured.out == ""
 
 
 class TestUsageErrors:

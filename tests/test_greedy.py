@@ -8,13 +8,14 @@ from minpower.exact import exact_optimum
 from minpower.graph import Instance, bidirect, minimum_spanning_tree, power_of
 from minpower.greedy import (
     Solution,
+    _precover_zero_edges,
     certify,
     greedy_solve,
     ratio_bound,
     select_best_star,
 )
-from minpower.instances import gen_line
-from minpower.stars import CoverState, enumerate_stars, marginal_gain
+from minpower.instances import gen_line, gen_random_geometric
+from minpower.stars import CoverState, apply_star, enumerate_stars, marginal_gain
 
 
 def triangle():
@@ -99,6 +100,61 @@ class TestSelectBestStar:
         state = helpers.replay_state(inst, tree, enumerate_stars(inst))
         with pytest.raises(RuntimeError, match="covered"):
             select_best_star(inst, state)
+
+
+def _picks(inst, select):
+    """Run the greedy loop with the given selector; (center, radius, gain) per pick."""
+    state = CoverState(inst, minimum_spanning_tree(inst))
+    _precover_zero_edges(state)
+    picks = []
+    while not state.all_covered:
+        star, gain = select(inst, state)
+        picks.append((star.center, star.radius.hex(), gain.hex()))
+        _, new_arcs = marginal_gain(state, star)
+        apply_star(state, star, new_arcs)
+    return picks
+
+
+def _differential_instances():
+    for n in (1, 3, 10, 25, 40):
+        for eps in (0.5, 0.25, 0.01, 2.0**-7):
+            yield gen_line(n, eps)
+    rng = random.Random(61)
+    for i in range(120):
+        yield helpers.random_connected_instance(rng, rng.randint(2, 14), complete=bool(i % 2))
+    for n, kappa, seed in ((12, 2.0, 0), (30, 1.0, 1), (40, 2.0, 2), (60, 4.0, 3)):
+        yield gen_random_geometric(n, kappa, seed)
+        yield gen_random_geometric(n, kappa, seed, complete=False)
+
+
+class TestLazySelection:
+    """The lazy heap must pick exactly what the eager full scan picks."""
+
+    def test_traces_bit_identical_to_eager_scan(self):
+        for inst in _differential_instances():
+            assert _picks(inst, select_best_star) == _picks(inst, helpers.eager_select_best_star)
+
+    def test_reused_state_with_arbitrary_stars_between_calls(self):
+        rng = random.Random(67)
+        cases = [helpers.random_connected_instance(rng, rng.randint(3, 12)) for _ in range(40)]
+        cases += [gen_line(12, 0.25), gen_random_geometric(25, 2.0, 5, complete=False)]
+        for inst in cases:
+            state = CoverState(inst, minimum_spanning_tree(inst))
+            stars = enumerate_stars(inst)
+            while not state.all_covered:
+                star, gain = select_best_star(inst, state)
+                eager_star, eager_gain = helpers.eager_select_best_star(inst, state)
+                assert star == eager_star
+                assert gain.hex() == eager_gain.hex()
+                # a random star, often not the greedy pick and sometimes useless
+                other = rng.choice(stars)
+                _, new_arcs = marginal_gain(state, other)
+                apply_star(state, other, new_arcs)
+
+    def test_scans_fewer_centers_than_the_eager_loop(self):
+        inst = gen_line(150, 2.0**-7)
+        sol = greedy_solve(inst)
+        assert 0 < sol.center_scans < inst.n * sol.iterations
 
 
 class TestRatioBound:

@@ -51,6 +51,15 @@ class TestLineFamily:
         assert inst.cost(0, 2) == 1.25**2
         assert inst.cost(0, 5) == 3.5**2
 
+    def test_closed_form_gap_counts_match_enumeration(self):
+        for n, eps in ((1, 0.5), (4, 0.3), (9, 0.01)):
+            inst = gen_line(n, eps)
+            for u in range(2 * n):
+                for v in range(u + 1, 2 * n):
+                    units = sum(1 for g in range(u, v) if g % 2 == 0)
+                    dist = units + ((v - u) - units) * eps
+                    assert inst.cost(u, v) == dist * dist
+
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
             gen_line(0, 0.5)
