@@ -16,115 +16,59 @@ from minpower.exact import (
     verify_assignment,
 )
 from minpower.graph import (
-    Arc,
     Instance,
     InstanceError,
     PowerAssignment,
     Tree,
     bidirect,
-    induced_arcs,
-    is_strongly_connected,
     minimum_spanning_tree,
     power_of,
 )
-from minpower.greedy import (
-    CertificateReport,
-    Solution,
-    TraceEntry,
-    certify,
-    greedy_solve,
-    ratio_bound,
-    select_best_star,
-)
+from minpower.greedy import CertificateReport, Solution, certify, greedy_solve, ratio_bound
 from minpower.instances import (
     GeneratorSpec,
-    SplitMix64,
     gen_line,
     gen_polygon,
     gen_random_geometric,
-    line_alternative_assignment,
     line_alternative_power,
-    polygon_symmetric_power,
-    polygon_witness_power,
     read_assignment,
     read_instance,
-    sparsify_k_nearest,
     write_assignment,
     write_instance,
 )
-from minpower.lpbound import (
-    CutViolation,
-    FractionalSolution,
-    LpComparison,
-    LpError,
-    cut_load,
-    enters_cut,
-    greedy_vs_bound,
-    lp_lower_bound,
-    most_violated_cut,
-)
-from minpower.stars import (
-    CoverState,
-    Star,
-    apply_star,
-    covered_edges,
-    directed_cover,
-    enumerate_stars,
-    marginal_gain,
-)
+from minpower.lpbound import FractionalSolution, LpError, lp_lower_bound
 
 __version__ = "0.1.0"
 
+# the supported API: what the README, scripts/ and the CLI use, plus the types
+# those functions take or return; everything else lives in its submodule
 __all__ = [
-    "Arc",
     "CertificateReport",
-    "CoverState",
-    "CutViolation",
     "ExactResult",
     "FractionalSolution",
     "GeneratorSpec",
     "Instance",
     "InstanceError",
-    "LpComparison",
     "LpError",
     "PowerAssignment",
     "SearchLimits",
     "Solution",
-    "SplitMix64",
-    "Star",
-    "TraceEntry",
     "Tree",
-    "apply_star",
     "bidirect",
     "brute_force_optimum",
     "certify",
-    "covered_edges",
-    "cut_load",
-    "directed_cover",
-    "enters_cut",
-    "enumerate_stars",
     "exact_optimum",
     "gen_line",
     "gen_polygon",
     "gen_random_geometric",
     "greedy_solve",
-    "greedy_vs_bound",
-    "induced_arcs",
-    "is_strongly_connected",
-    "line_alternative_assignment",
     "line_alternative_power",
     "lp_lower_bound",
-    "marginal_gain",
     "minimum_spanning_tree",
-    "most_violated_cut",
-    "polygon_symmetric_power",
-    "polygon_witness_power",
     "power_of",
     "ratio_bound",
     "read_assignment",
     "read_instance",
-    "select_best_star",
-    "sparsify_k_nearest",
     "verify_assignment",
     "write_assignment",
     "write_instance",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from time import perf_counter
 
 from minpower.exact import ExactResult, SearchLimits, exact_optimum
@@ -199,9 +199,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
     try:
         spec = GeneratorSpec.parse(args.spec)
         if args.seed is not None:
-            spec = GeneratorSpec(
-                spec.family, spec.n, spec.epsilon, spec.kappa, args.seed, spec.complete
-            )
+            spec = replace(spec, seed=args.seed)
         inst, witness = spec.build()
     except (ValueError, InstanceError) as exc:
         print(f"gen: {exc}", file=sys.stderr)
@@ -280,15 +278,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     out_lines: list[str] = []
     worst: dict[str, float] = {}
+    count = 0
     cert_failures = 0
     inconclusive = 0
     code = EXIT_OK
     for spec in specs:
         run_seeds = seeds if spec.family == "random-geometric" else [spec.seed]
         for seed in run_seeds:
-            spec_i = GeneratorSpec(
-                spec.family, spec.n, spec.epsilon, spec.kappa, seed, spec.complete
-            )
+            spec_i = replace(spec, seed=seed)
             try:
                 inst, _ = spec_i.build()
             except (ValueError, InstanceError) as exc:
@@ -304,6 +301,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 args.tol,
             )
             _emit(report, args.format, args.out, out_lines)
+            count += 1
             for name, value in report.ratios.items():
                 worst[name] = max(worst.get(name, 0.0), value)
             if not report.certificates_ok:
@@ -317,9 +315,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     summary = {
         "summary": {
-            "instances": sum(
-                len(seeds) if s.family == "random-geometric" else 1 for s in specs
-            ),
+            "instances": count,
             "certificate_failures": cert_failures,
             "exact_not_optimal": inconclusive,
             "worst_ratios": {k: worst[k] for k in sorted(worst)},

@@ -100,6 +100,9 @@ def exact_optimum(
     n = inst.n
     if n > limits.max_vertices:
         raise ValueError(f"instance has {n} vertices, limit is {limits.max_vertices}")
+    for extra in extra_incumbents:
+        if len(extra) != n:
+            raise ValueError(f"extra incumbent has {len(extra)} levels, instance has {n} vertices")
     if n == 1:
         return ExactResult("optimal", 0.0, PowerAssignment((0.0,)), 0, 0.0)
 

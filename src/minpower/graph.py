@@ -39,7 +39,9 @@ class Instance:
         """Validate, normalize, and build a connected instance.
 
         Raises InstanceError on self-loops, out-of-range ids, duplicate pairs,
-        negative or non-finite costs, and disconnected graphs.
+        negative or non-finite costs, and disconnected graphs.  Each edge is
+        checked as it is drawn from the iterable, so a lazy caller such as
+        read_instance can attribute an edge error to the edge it just yielded.
         """
         if n < 1:
             raise InstanceError(f"vertex count must be positive, got {n}")
@@ -88,10 +90,6 @@ class Instance:
         except KeyError:
             raise InstanceError(f"no edge {u}-{v} in instance") from None
 
-    def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self._cost_by_pair
-
     def is_connected(self) -> bool:
         if self.n == 1:
             return True
@@ -111,7 +109,7 @@ class Instance:
 
 @dataclass(frozen=True)
 class Tree:
-    """Spanning tree of an instance, rooted at vertex 0 for path queries.
+    """Spanning tree of an instance.
 
     Edge indices refer to positions in :attr:`edges` and are the keys every
     coverage structure uses.
@@ -128,41 +126,6 @@ class Tree:
             lists[u].append((v, idx, c))
             lists[v].append((u, idx, c))
         return tuple(tuple(l) for l in lists)
-
-    @cached_property
-    def _rooted(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-        parent, parent_edge = self.rooted_parents(0)
-        depth = [0] * self.n
-        order = self._bfs_order(0)
-        for v in order[1:]:
-            depth[v] = depth[parent[v]] + 1
-        return tuple(parent), tuple(parent_edge), tuple(depth)
-
-    @property
-    def parent(self) -> tuple[int, ...]:
-        return self._rooted[0]
-
-    @property
-    def parent_edge(self) -> tuple[int, ...]:
-        return self._rooted[1]
-
-    @property
-    def depth(self) -> tuple[int, ...]:
-        return self._rooted[2]
-
-    def _bfs_order(self, root: int) -> list[int]:
-        order = [root]
-        seen = bytearray(self.n)
-        seen[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, _, _ in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    queue.append(v)
-                    order.append(v)
-        return order
 
     def rooted_parents(self, root: int) -> tuple[list[int], list[int]]:
         """Parent vertex and parent edge index arrays for the tree rooted at root."""
@@ -182,13 +145,6 @@ class Tree:
         return parent, parent_edge
 
     @cached_property
-    def edge_index(self) -> dict[tuple[int, int], int]:
-        return {
-            (u, v) if u < v else (v, u): idx
-            for idx, (u, v, _) in enumerate(self.edges)
-        }
-
-    @cached_property
     def total_cost(self) -> float:
         return float(sum(c for _, _, c in self.edges))
 
@@ -198,6 +154,12 @@ class PowerAssignment:
     """Per-vertex transmit power; vertex v gets levels[v] >= 0."""
 
     levels: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        # a NaN or inf level would act as unlimited range in induced_arcs
+        for v, level in enumerate(self.levels):
+            if not isfinite(level) or level < 0.0:
+                raise ValueError(f"bad power {level!r} for vertex {v}")
 
     @property
     def total(self) -> float:

@@ -24,7 +24,7 @@ from minpower.graph import (
     minimum_spanning_tree,
     power_of,
 )
-from minpower.stars import CoverState, Star, apply_star, marginal_gain
+from minpower.stars import CoverState, Star, apply_star, marginal_gain, star_at
 
 _REL_TOL = 1e-9
 
@@ -179,10 +179,10 @@ def select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
 
     # quotient tree over component labels: uncovered edges only
     qadj: dict[int, list[tuple[int, float]]] = {}
-    for idx, (u, v, c) in enumerate(tree.edges):
-        if idx in state.covered:
-            continue
+    for u, v, c in tree.edges:
         lu, lv = label[u], label[v]
+        if lu == lv:
+            continue
         qadj.setdefault(lu, []).append((lv, c))
         qadj.setdefault(lv, []).append((lu, c))
 
@@ -204,12 +204,7 @@ def select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
             "coverage accounting is broken"
         )
     _, neg_gain, best_center, best_radius, _ = heap[0]
-    leaves = []
-    for c, v, _ in inst.adj[best_center]:
-        if c > best_radius:
-            break
-        leaves.append(v)
-    return Star(best_center, best_radius, frozenset(leaves)), -neg_gain
+    return star_at(inst, best_center, best_radius), -neg_gain
 
 
 def _precover_zero_edges(state: CoverState) -> list[TraceEntry]:
@@ -219,13 +214,11 @@ def _precover_zero_edges(state: CoverState) -> list[TraceEntry]:
     ratio convention never has to arbitrate between free stars and real ones.
     """
     entries: list[TraceEntry] = []
-    inst = state.inst
-    for idx, (a, b, c) in enumerate(state.tree.edges):
-        if c != 0.0 or idx in state.covered:
+    label = state._label
+    for a, b, c in state.tree.edges:
+        if c != 0.0 or label[a] == label[b]:
             continue
-        center = min(a, b)
-        leaves = frozenset(v for cost, v, _ in inst.adj[center] if cost <= 0.0)
-        star = Star(center, 0.0, leaves)
+        star = star_at(state.inst, min(a, b), 0.0)
         gain, new_arcs = marginal_gain(state, star)
         apply_star(state, star, new_arcs)
         entries.append(TraceEntry(star, gain, 0.0))
@@ -249,7 +242,8 @@ def greedy_solve(inst: Instance) -> Solution:
         apply_star(state, star, new_arcs)
         trace.append(TraceEntry(star, gain, star.power))
 
-    arcs: set[Arc] = set(state.arcs_left)
+    residual = state.residual_arcs()
+    arcs = set(residual)
     for star in state.chosen:
         arcs |= star.arcs()
     powers = power_of(inst, arcs)
@@ -263,7 +257,7 @@ def greedy_solve(inst: Instance) -> Solution:
         trace=tuple(trace),
         tree_cost=tree.total_cost,
         star_power=star_power,
-        residual_arcs=frozenset(state.arcs_left),
+        residual_arcs=frozenset(residual),
         center_scans=state.center_scans,
     )
 

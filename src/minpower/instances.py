@@ -227,16 +227,6 @@ def polygon_witness_power(n: int) -> float:
     return n + n**2 * (1.0 / n) ** 2
 
 
-def polygon_symmetric_power(n: int) -> float:
-    """Reference total for two-way connectivity on the polygon family.
-
-    (2n-2) + (n(n-1)+2) eps^2 with eps = 1/n; documentation-only, nothing in
-    the package solves the two-way variant.
-    """
-    eps2 = (1.0 / n) ** 2
-    return (2 * n - 2) + (n * (n - 1) + 2) * eps2
-
-
 def gen_random_geometric(n: int, kappa: float, seed: int, complete: bool = True) -> Instance:
     """n uniform points in the unit square, cost = distance ** kappa.
 
@@ -278,46 +268,52 @@ def write_instance(inst: Instance, path: str, comments: tuple[str, ...] = ()) ->
 
 
 def read_instance(path: str) -> Instance:
-    """Parse and validate an instance file; errors carry 1-based line numbers."""
-    header: tuple[int, int] | None = None
-    edges: list[tuple[int, int, float]] = []
-    seen: set[tuple[int, int]] = set()
-    with open(path) as fh:
+    """Parse and validate an instance file; errors carry 1-based line numbers.
+
+    Edges reach Instance.from_edges as they are parsed, so an error it raises
+    while validating an edge names that edge's line; the edge count and the
+    connectivity check name only the file.
+    """
+    lineno: int | None = None  # data line being parsed or validated, if any
+
+    def data_lines(fh):
+        nonlocal lineno
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if header is None:
-                if len(parts) != 2:
-                    raise InstanceError(f"{path}:{lineno}: expected 'n m' header")
-                try:
-                    header = (int(parts[0]), int(parts[1]))
-                except ValueError:
-                    raise InstanceError(f"{path}:{lineno}: non-integer header") from None
-                continue
+            if line and not line.startswith("#"):
+                yield line.split()
+        lineno = None
+
+    def edges(lines, m: int):
+        count = 0
+        for parts in lines:
             if len(parts) != 3:
-                raise InstanceError(f"{path}:{lineno}: expected 'u v cost'")
+                raise InstanceError("expected 'u v cost'")
             try:
                 u, v, c = int(parts[0]), int(parts[1]), float(parts[2])
             except ValueError:
-                raise InstanceError(f"{path}:{lineno}: malformed edge line") from None
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                raise InstanceError(f"{path}:{lineno}: duplicate edge {u}-{v}")
-            if u == v:
-                raise InstanceError(f"{path}:{lineno}: self-loop at vertex {u}")
-            seen.add(key)
-            edges.append((u, v, c))
-    if header is None:
-        raise InstanceError(f"{path}: no header line found")
-    n, m = header
-    if len(edges) != m:
-        raise InstanceError(f"{path}: header promises {m} edges, found {len(edges)}")
+                raise InstanceError("malformed edge line") from None
+            count += 1
+            yield u, v, c
+        if count != m:
+            raise InstanceError(f"header promises {m} edges, found {count}")
+
     try:
-        return Instance.from_edges(n, edges)
+        with open(path) as fh:
+            lines = data_lines(fh)
+            header = next(lines, None)
+            if header is None:
+                raise InstanceError("no header line found")
+            if len(header) != 2:
+                raise InstanceError("expected 'n m' header")
+            try:
+                n, m = int(header[0]), int(header[1])
+            except ValueError:
+                raise InstanceError("non-integer header") from None
+            return Instance.from_edges(n, edges(lines, m))
     except InstanceError as exc:
-        raise InstanceError(f"{path}: {exc}") from None
+        where = path if lineno is None else f"{path}:{lineno}"
+        raise InstanceError(f"{where}: {exc}") from None
 
 
 def write_assignment(assignment: PowerAssignment, path: str) -> None:

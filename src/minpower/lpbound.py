@@ -21,8 +21,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from minpower.graph import Instance
-from minpower.greedy import greedy_solve, ratio_bound
-from minpower.stars import Star, enumerate_stars
+from minpower.stars import Star, enumerate_stars, star_at
 
 _FEAS_TOL = 1e-9  # simplex pivot / feasibility
 _CUT_TOL = 1e-7  # cut violation threshold
@@ -51,14 +50,6 @@ class CutViolation:
 
     subset: frozenset[int]
     load: float
-
-
-@dataclass(frozen=True)
-class LpComparison:
-    greedy_total: float
-    bound: float
-    ratio: float
-    within_bound: bool
 
 
 def enters_cut(star: Star, subset: frozenset[int] | set[int]) -> bool:
@@ -141,17 +132,11 @@ class _Dinic:
 
 
 def _support(inst: Instance, weights: Mapping[StarKey, float]) -> list[tuple[Star, float]]:
-    out = []
-    for (center, radius), w in sorted(weights.items()):
-        if w <= 0.0:
-            continue
-        leaves = []
-        for c, v, _ in inst.adj[center]:
-            if c > radius:
-                break
-            leaves.append(v)
-        out.append((Star(center, radius, frozenset(leaves)), float(w)))
-    return out
+    return [
+        (star_at(inst, center, radius), float(w))
+        for (center, radius), w in sorted(weights.items())
+        if w > 0.0
+    ]
 
 
 def most_violated_cut(
@@ -311,16 +296,3 @@ def lp_lower_bound(inst: Instance, tol: float = _CUT_TOL, max_rounds: int = 10_0
                 "tolerance ladder is inconsistent"
             )
     raise LpError(f"no convergence after {max_rounds} cut rounds")
-
-
-def greedy_vs_bound(inst: Instance, tol: float = _CUT_TOL) -> LpComparison:
-    """Compare the greedy total against the fractional cover bound."""
-    greedy_total = greedy_solve(inst).total_power
-    bound = lp_lower_bound(inst, tol).value
-    ratio = greedy_total / bound if bound > 0 else 1.0
-    return LpComparison(
-        greedy_total=greedy_total,
-        bound=bound,
-        ratio=ratio,
-        within_bound=ratio <= ratio_bound(0.5) + _VALUE_TOL,
-    )

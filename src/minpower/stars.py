@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from minpower.graph import Arc, Instance, Tree, bidirect
+from minpower.graph import Arc, Instance, Tree
 
 
 @dataclass(frozen=True)
@@ -31,6 +31,16 @@ class Star:
         return {(self.center, v) for v in self.leaves}
 
 
+def star_at(inst: Instance, center: int, radius: float) -> Star:
+    """S(center, radius): every neighbour of center within cost radius."""
+    leaves = []
+    for c, v, _ in inst.adj[center]:
+        if c > radius:
+            break  # adjacency is cost-sorted
+        leaves.append(v)
+    return Star(center, radius, frozenset(leaves))
+
+
 def enumerate_stars(inst: Instance) -> list[Star]:
     """All canonical stars: one per vertex per distinct incident cost.
 
@@ -38,80 +48,33 @@ def enumerate_stars(inst: Instance) -> list[Star]:
     (at most 2m entries) is exhaustive for any argmax over stars.  Ordered by
     (center, radius) ascending.
     """
-    stars: list[Star] = []
-    for u in range(inst.n):
-        leaves: list[int] = []
-        prev: float | None = None
-        for c, v, _ in inst.adj[u]:
-            if prev is not None and c != prev:
-                stars.append(Star(u, prev, frozenset(leaves)))
-            leaves.append(v)
-            prev = c
-        if prev is not None:
-            stars.append(Star(u, prev, frozenset(leaves)))
-    return stars
-
-
-def _cover_walk(tree: Tree, star: Star) -> list[tuple[int, Arc]]:
-    """Tree edges covered by star, as (edge_index, arc oriented away from center).
-
-    Roots the tree at the center, then climbs from each leaf toward the center,
-    stopping at previously visited vertices; every covered edge is reported
-    exactly once.
-    """
-    if not star.leaves:
-        return []
-    center = star.center
-    parent, parent_edge = tree.rooted_parents(center)
-    visited = bytearray(tree.n)
-    visited[center] = 1
-    out: list[tuple[int, Arc]] = []
-    for v in sorted(star.leaves):
-        x = v
-        while not visited[x]:
-            visited[x] = 1
-            out.append((parent_edge[x], (parent[x], x)))
-            x = parent[x]
-    return out
-
-
-def covered_edges(tree: Tree, star: Star) -> set[int]:
-    """Q(u, r): tree edge indices on paths from the center to each leaf.
-
-    Equals the set of edges on paths between any two star vertices, because a
-    path between two leaves is contained in the union of their center paths.
-    """
-    return {idx for idx, _ in _cover_walk(tree, star)}
-
-
-def directed_cover(tree: Tree, star: Star) -> set[Arc]:
-    """Directed version of the cover: arcs along center-to-leaf tree paths.
-
-    Its undirected projection is exactly covered_edges; each covered edge
-    appears in the single orientation pointing away from the center.
-    """
-    return {arc for _, arc in _cover_walk(tree, star)}
+    return [
+        star_at(inst, u, radius)
+        for u in range(inst.n)
+        for radius in sorted({c for c, _, _ in inst.adj[u]})
+    ]
 
 
 class CoverState:
     """Mutable bookkeeping for a star collection covering tree edges.
 
-    Tracks the chosen stars, the covered tree-edge set and its cost, the
-    surviving arcs of the bidirected tree, and the greedy's per-center upper
-    bounds with its count of center scans.  An edge is covered exactly when one
-    of its two antiparallel arcs has been removed; the other arc never leaves.
+    Covered tree edges are contracted: every vertex carries a component label,
+    and because a tree has no cycles, a tree edge is covered exactly when its
+    endpoints share a label.  Covering an edge removes the one arc of the
+    bidirected tree that points away from the covering star's center; the
+    state records that arc's tail per covered edge, and the antiparallel arc
+    survives for good.  Also tracks the chosen stars, the covered cost, and the
+    greedy's per-center upper bounds with its count of center scans.
     """
 
     def __init__(self, inst: Instance, tree: Tree):
         self.inst = inst
         self.tree = tree
         self.chosen: list[Star] = []
-        self.covered: set[int] = set()
         self.covered_cost = 0.0
-        self.arcs_left: set[Arc] = bidirect(tree)
-        # contraction of covered edges: component label per vertex
         self._label = list(range(inst.n))
         self._members: dict[int, list[int]] = {v: [v] for v in range(inst.n)}
+        self._removed_tail: dict[int, int] = {}  # covered edge index -> tail
         # lazy greedy: heap of stale best-star keys (-ratio, -gain, center,
         # radius, stamp), stamped with len(chosen) when scanned; every center
         # starts with a never-scanned sentinel that sorts above any real key
@@ -122,18 +85,28 @@ class CoverState:
 
     @property
     def all_covered(self) -> bool:
-        return len(self.covered) == len(self.tree.edges)
-
-    def component(self, v: int) -> int:
-        return self._label[v]
+        return len(self._members) == 1
 
     def component_count(self) -> int:
         return len(self._members)
 
+    def residual_arcs(self) -> set[Arc]:
+        """Surviving arcs of the bidirected tree.
+
+        Both arcs of an uncovered edge; of a covered edge, the arc into the
+        tail of the removed one.
+        """
+        arcs: set[Arc] = set()
+        for idx, (u, v, _) in enumerate(self.tree.edges):
+            tail = self._removed_tail.get(idx)
+            if tail != u:
+                arcs.add((u, v))
+            if tail != v:
+                arcs.add((v, u))
+        return arcs
+
     def _merge(self, a: int, b: int) -> None:
         la, lb = self._label[a], self._label[b]
-        if la == lb:
-            raise RuntimeError(f"covering an edge inside component {la}; state is corrupt")
         if len(self._members[la]) < len(self._members[lb]):
             la, lb = lb, la
         for v in self._members[lb]:
@@ -142,42 +115,50 @@ class CoverState:
         del self._members[lb]
 
 
-def marginal_gain(state: CoverState, star: Star) -> tuple[float, set[Arc]]:
+def marginal_gain(state: CoverState, star: Star) -> tuple[float, list[tuple[int, Arc]]]:
     """Coverage gained by adding star, plus the arcs to drop from the tree.
 
-    Returns (gain, new_arcs): gain is the total cost of tree edges the star
-    newly covers, new_arcs the corresponding arcs of the directed cover whose
-    undirected edge was still uncovered.  gain is 0 iff new_arcs is empty.
+    The star covers the tree edges on paths from its center to its leaves.
+    Roots the tree at the center and climbs from each leaf toward it, stopping
+    at vertices already visited, so each such edge is met once.  Returns (gain,
+    new_arcs): gain is the total cost of the edges whose endpoints were still
+    in different components, new_arcs those edges as (edge index, arc oriented
+    away from the center) in the order met.  new_arcs is empty iff the star
+    covers nothing new, and then gain is 0.
     """
+    if not star.leaves:
+        return 0.0, []
     tree = state.tree
+    label = state._label
+    parent, parent_edge = tree.rooted_parents(star.center)
+    visited = bytearray(tree.n)
+    visited[star.center] = 1
     gain = 0.0
-    new_arcs: set[Arc] = set()
-    for idx, arc in _cover_walk(tree, star):
-        if idx not in state.covered:
-            gain += tree.edges[idx][2]
-            new_arcs.add(arc)
+    new_arcs: list[tuple[int, Arc]] = []
+    for v in sorted(star.leaves):
+        x = v
+        while not visited[x]:
+            visited[x] = 1
+            p = parent[x]
+            if label[p] != label[x]:
+                idx = parent_edge[x]
+                gain += tree.edges[idx][2]
+                new_arcs.append((idx, (p, x)))
+            x = p
     return gain, new_arcs
 
 
-def apply_star(state: CoverState, star: Star, new_arcs: set[Arc]) -> None:
-    """Commit a star: remove its new arcs, mark their edges covered.
+def apply_star(state: CoverState, star: Star, new_arcs: list[tuple[int, Arc]]) -> None:
+    """Commit a star: remove its new arcs and contract their edges.
 
-    new_arcs must be the marginal_gain output against this exact state; a
-    stale arc (already removed, or over a covered edge) signals a caller bug
-    and raises RuntimeError.
+    new_arcs must be the marginal_gain output against this exact state; an arc
+    whose edge is already covered signals a caller bug and raises RuntimeError.
     """
-    tree = state.tree
-    for u, v in new_arcs:
-        key = (u, v) if u < v else (v, u)
-        idx = tree.edge_index.get(key)
-        if idx is None:
-            raise RuntimeError(f"arc {u}->{v} is not a tree arc")
-        if idx in state.covered:
-            raise RuntimeError(f"stale arc {u}->{v}: edge already covered")
-        if (u, v) not in state.arcs_left:
-            raise RuntimeError(f"stale arc {u}->{v}: not in surviving arc set")
-        state.arcs_left.remove((u, v))
-        state.covered.add(idx)
-        state.covered_cost += tree.edges[idx][2]
+    label = state._label
+    for idx, (u, v) in new_arcs:
+        if label[u] == label[v]:
+            raise RuntimeError(f"stale arc {u}->{v}: edge {idx} already covered")
+        state._removed_tail[idx] = u
+        state.covered_cost += state.tree.edges[idx][2]
         state._merge(u, v)
     state.chosen.append(star)

@@ -12,7 +12,7 @@ import math
 import random
 
 from minpower.graph import Arc, Instance, Tree
-from minpower.stars import CoverState, Star, apply_star, marginal_gain
+from minpower.stars import CoverState, Star, apply_star, marginal_gain, star_at
 
 
 def eager_select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
@@ -35,10 +35,10 @@ def eager_select_best_star(inst: Instance, state: CoverState) -> tuple[Star, flo
 
     # quotient tree over component labels: uncovered edges only
     qadj: dict[int, list[tuple[int, float]]] = {}
-    for idx, (u, v, c) in enumerate(tree.edges):
-        if idx in state.covered:
-            continue
+    for u, v, c in tree.edges:
         lu, lv = label[u], label[v]
+        if lu == lv:
+            continue
         qadj.setdefault(lu, []).append((lv, c))
         qadj.setdefault(lv, []).append((lu, c))
 
@@ -103,12 +103,7 @@ def eager_select_best_star(inst: Instance, state: CoverState) -> tuple[Star, flo
             "no positive-gain star while tree edges remain uncovered; "
             "coverage accounting is broken"
         )
-    leaves = []
-    for c, v, _ in inst.adj[best_center]:
-        if c > best_radius:
-            break
-        leaves.append(v)
-    return Star(best_center, best_radius, frozenset(leaves)), best_gain
+    return star_at(inst, best_center, best_radius), best_gain
 
 
 def random_connected_instance(rng: random.Random, n: int, complete: bool = False) -> Instance:
@@ -171,7 +166,23 @@ def all_spanning_trees(inst: Instance):
 
 def tree_path_edges(tree: Tree, a: int, b: int) -> set[int]:
     """Edge indices on the tree path from a to b, by naive depth climbing."""
-    depth, parent, parent_edge = tree.depth, tree.parent, tree.parent_edge
+    # root the tree at vertex 0 by DFS over its edge list
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(tree.n)]
+    for idx, (u, v, _) in enumerate(tree.edges):
+        nbrs[u].append((v, idx))
+        nbrs[v].append((u, idx))
+    parent = [-1] * tree.n
+    parent_edge = [-1] * tree.n
+    depth = [0] * tree.n
+    stack = [0]
+    while stack:
+        x = stack.pop()
+        for y, idx in nbrs[x]:
+            if y != parent[x]:
+                parent[y] = x
+                parent_edge[y] = idx
+                depth[y] = depth[x] + 1
+                stack.append(y)
     out: set[int] = set()
     x, y = a, b
     while depth[x] > depth[y]:
@@ -207,12 +218,10 @@ def replay_state(inst: Instance, tree: Tree, stars: list[Star]) -> CoverState:
 
 
 def coverage_value(tree: Tree, stars: list[Star]) -> float:
-    """f(A) from scratch: union the covers, then sum edge costs."""
-    from minpower.stars import covered_edges
-
+    """f(A) from scratch: union the pairwise covers, then sum edge costs."""
     covered: set[int] = set()
     for star in stars:
-        covered |= covered_edges(tree, star)
+        covered |= pairwise_cover(tree, star)
     return sum(tree.edges[i][2] for i in covered)
 
 

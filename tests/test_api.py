@@ -1,0 +1,37 @@
+"""The supported API and the experiment scripts that import it."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import minpower
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in minpower.__all__ if not hasattr(minpower, name)]
+    assert not missing
+    assert len(set(minpower.__all__)) == len(minpower.__all__)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scripts/baseline_gap_sweep.py", "--sizes", "2,3"],
+        ["scripts/ratio_experiment.py", "--count", "2", "--nmax", "5", "--lp"],
+    ],
+    ids=["baseline_gap_sweep", "ratio_experiment"],
+)
+def test_script_runs_on_tiny_input(argv):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -56,6 +56,17 @@ class TestExactOptimum:
         with pytest.raises(ValueError, match="incumbent"):
             exact_optimum(inst, extra_incumbents=(PowerAssignment((0.0, 0.0, 0.0)),))
 
+    def test_short_extra_incumbent_rejected(self):
+        short = PowerAssignment((5.0, 5.0))
+        with pytest.raises(ValueError, match="has 2 levels.* 3 vertices"):
+            exact_optimum(triangle(), extra_incumbents=(short,))
+
+    def test_long_extra_incumbent_rejected(self):
+        # the first three levels alone verify, so only the length check stops it
+        long = PowerAssignment((5.0, 5.0, 5.0, 0.0))
+        with pytest.raises(ValueError, match="has 4 levels.* 3 vertices"):
+            exact_optimum(triangle(), extra_incumbents=(long,))
+
     def test_witness_always_verifies(self):
         rng = random.Random(61)
         for _ in range(30):

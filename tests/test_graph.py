@@ -164,6 +164,16 @@ class TestPowerOf:
             power_of(inst, {(0, 2)})
 
 
+class TestPowerAssignment:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_bad_level_rejected(self, bad):
+        # a NaN or inf level would induce every arc and verify as connected
+        with pytest.raises(ValueError, match="vertex 1"):
+            PowerAssignment((0.0, bad, 0.0))
+        with pytest.raises(ValueError, match="bad power"):
+            PowerAssignment((bad,) * 3)
+
+
 class TestInducedArcs:
     def test_one_directional(self):
         inst = Instance.from_edges(2, [(0, 1, 3.0)])

@@ -10,7 +10,6 @@ from minpower.instances import (
     gen_random_geometric,
     line_alternative_assignment,
     line_alternative_power,
-    polygon_symmetric_power,
     polygon_witness_power,
     read_assignment,
     read_instance,
@@ -89,11 +88,6 @@ class TestPolygonFamily:
         for a, b in ((3, 4), (7, 8), (11, 0)):
             assert inst.cost(a, b) == pytest.approx(1.0, rel=1e-12)
 
-    def test_symmetric_reference_formula(self):
-        for n in (2, 3, 10):
-            expected = 2 * n - 1 - 1.0 / n + 2.0 / n**2
-            assert polygon_symmetric_power(n) == pytest.approx(expected, rel=1e-12)
-
     def test_parameter_domain(self):
         with pytest.raises(ValueError):
             gen_polygon(1)
@@ -169,6 +163,18 @@ class TestFileRoundTrip:
         path = tmp_path / "bad.txt"
         path.write_text("2 1\n0 1 not_a_number\n")
         with pytest.raises(InstanceError, match=r"bad\.txt:2"):
+            read_instance(str(path))
+
+    def test_out_of_range_vertex_names_line(self, tmp_path):
+        path = tmp_path / "range.txt"
+        path.write_text("# two vertices\n2 1\n0 5 1.0\n")
+        with pytest.raises(InstanceError, match=r"range\.txt:3: .*outside vertex range"):
+            read_instance(str(path))
+
+    def test_nan_cost_names_line(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("2 1\n0 1 nan\n")
+        with pytest.raises(InstanceError, match=r"nan\.txt:2: bad cost nan"):
             read_instance(str(path))
 
     def test_disconnected_rejected_at_load(self, tmp_path):

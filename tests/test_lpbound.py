@@ -8,16 +8,10 @@ from scipy.optimize import linprog
 import helpers
 from minpower.exact import exact_optimum
 from minpower.graph import Instance, minimum_spanning_tree
-from minpower.greedy import greedy_solve, ratio_bound
-from minpower.instances import gen_line, gen_random_geometric
-from minpower.lpbound import (
-    cut_load,
-    enters_cut,
-    greedy_vs_bound,
-    lp_lower_bound,
-    most_violated_cut,
-)
-from minpower.stars import covered_edges, enumerate_stars, Star
+from minpower.greedy import greedy_solve
+from minpower.instances import gen_line
+from minpower.lpbound import cut_load, enters_cut, lp_lower_bound, most_violated_cut
+from minpower.stars import enumerate_stars, Star
 
 
 def triangle():
@@ -152,7 +146,7 @@ class TestCrossingStarPairs:
                 su = Star(u, c, frozenset(x for cc, x, _ in inst.adj[u] if cc <= c))
                 sv = Star(v, c, frozenset(x for cc, x, _ in inst.adj[v] if cc <= c))
                 weight = sum(
-                    0.5 for s in (su, sv) if idx in covered_edges(tree, s)
+                    0.5 for s in (su, sv) if idx in helpers.pairwise_cover(tree, s)
                 )
                 assert weight == 1.0
                 # sides of the tree split at this edge
@@ -177,23 +171,3 @@ def _component_side(tree, removed_edge, root):
                 seen.add(y)
                 stack.append(y)
     return frozenset(seen)
-
-
-class TestGreedyVersusBound:
-    def test_two_vertex_ratio_is_one(self):
-        report = greedy_vs_bound(Instance.from_edges(2, [(0, 1, 2.0)]))
-        assert report.ratio == pytest.approx(1.0, abs=1e-9)
-        assert report.within_bound
-
-    def test_triangle_ratio(self):
-        report = greedy_vs_bound(triangle())
-        assert report.ratio == pytest.approx(11.0 / 11.0, abs=1e-6)
-        assert report.within_bound
-
-    def test_random_instances_within_bound(self):
-        rng = random.Random(107)
-        bound = ratio_bound(0.5)
-        for _ in range(15):
-            inst = gen_random_geometric(rng.randint(4, 7), 2.0, rng.randrange(10**6))
-            report = greedy_vs_bound(inst)
-            assert 1.0 - 1e-9 <= report.ratio <= bound + 1e-6

@@ -6,15 +6,7 @@ from hypothesis import strategies as st
 
 import helpers
 from minpower.graph import Instance, minimum_spanning_tree
-from minpower.stars import (
-    CoverState,
-    Star,
-    apply_star,
-    covered_edges,
-    directed_cover,
-    enumerate_stars,
-    marginal_gain,
-)
+from minpower.stars import CoverState, Star, apply_star, enumerate_stars, marginal_gain
 
 
 def triangle():
@@ -29,6 +21,20 @@ def path_abc():
 def star_of(inst, center, radius):
     leaves = frozenset(v for c, v, _ in inst.adj[center] if c <= radius)
     return Star(center, radius, leaves)
+
+
+def fresh_cover(inst, tree, star):
+    """(edge index, arc) pairs a star covers on an empty cover state."""
+    _, new_arcs = marginal_gain(CoverState(inst, tree), star)
+    return new_arcs
+
+
+def covered_edges(inst, tree, star):
+    return {idx for idx, _ in fresh_cover(inst, tree, star)}
+
+
+def directed_cover(inst, tree, star):
+    return {arc for _, arc in fresh_cover(inst, tree, star)}
 
 
 class TestEnumerateStars:
@@ -65,14 +71,14 @@ class TestCoveredEdges:
     def test_center_covers_both_sides(self):
         inst = path_abc()
         tree = minimum_spanning_tree(inst)
-        got = covered_edges(tree, star_of(inst, 1, 2.0))
+        got = covered_edges(inst, tree, star_of(inst, 1, 2.0))
         assert got == set(range(2))
 
     def test_single_leaf(self):
         inst = path_abc()
         tree = minimum_spanning_tree(inst)
-        got = covered_edges(tree, star_of(inst, 0, 1.0))
-        assert got == {tree.edge_index[(0, 1)]}
+        got = covered_edges(inst, tree, star_of(inst, 0, 1.0))
+        assert got == {tree.edges.index((0, 1, 1.0))}
 
     def test_line_star_reaching_both_unit_neighbours(self):
         # 4 collinear points, gaps 1, eps, 1; a radius-(1+eps)^2 star at vertex 2
@@ -82,7 +88,7 @@ class TestCoveredEdges:
         inst = gen_line(2, 0.25)
         tree = minimum_spanning_tree(inst)
         star = star_of(inst, 2, (1.0 + 0.25) ** 2)
-        assert covered_edges(tree, star) == set(range(3))
+        assert covered_edges(inst, tree, star) == set(range(3))
 
     def test_matches_pairwise_definition(self):
         rng = random.Random(13)
@@ -90,23 +96,24 @@ class TestCoveredEdges:
             inst = helpers.random_connected_instance(rng, rng.randint(2, 7), complete=True)
             tree = minimum_spanning_tree(inst)
             for star in enumerate_stars(inst):
-                assert covered_edges(tree, star) == helpers.pairwise_cover(tree, star)
+                assert covered_edges(inst, tree, star) == helpers.pairwise_cover(tree, star)
 
 
 class TestDirectedCover:
     def test_center_paths(self):
         inst = path_abc()
         tree = minimum_spanning_tree(inst)
-        assert directed_cover(tree, star_of(inst, 1, 2.0)) == {(1, 0), (1, 2)}
+        assert directed_cover(inst, tree, star_of(inst, 1, 2.0)) == {(1, 0), (1, 2)}
 
     def test_two_hop_path(self):
         inst = path_abc()
         tree = minimum_spanning_tree(inst)
-        assert directed_cover(tree, star_of(inst, 0, 3.0)) == {(0, 1), (1, 2)}
+        assert directed_cover(inst, tree, star_of(inst, 0, 3.0)) == {(0, 1), (1, 2)}
 
     def test_empty_star(self):
-        tree = minimum_spanning_tree(path_abc())
-        assert directed_cover(tree, Star(0, 0.0, frozenset())) == set()
+        inst = path_abc()
+        tree = minimum_spanning_tree(inst)
+        assert directed_cover(inst, tree, Star(0, 0.0, frozenset())) == set()
 
     def test_projection_equals_covered_edges(self):
         rng = random.Random(17)
@@ -114,10 +121,12 @@ class TestDirectedCover:
             inst = helpers.random_connected_instance(rng, rng.randint(2, 8))
             tree = minimum_spanning_tree(inst)
             for star in enumerate_stars(inst):
-                arcs = directed_cover(tree, star)
-                proj = {tree.edge_index[(u, v) if u < v else (v, u)] for u, v in arcs}
-                assert proj == covered_edges(tree, star)
-                assert len(arcs) == len(proj)  # one orientation per edge
+                pairs = fresh_cover(inst, tree, star)
+                for idx, (u, v) in pairs:
+                    assert {u, v} == set(tree.edges[idx][:2])
+                proj = {idx for idx, _ in pairs}
+                assert proj == helpers.pairwise_cover(tree, star)
+                assert len(pairs) == len(proj)  # one orientation per edge
 
 
 class TestMarginalGain:
@@ -127,7 +136,7 @@ class TestMarginalGain:
         state = CoverState(inst, tree)
         gain, arcs = marginal_gain(state, star_of(inst, 1, 2.0))
         assert gain == 3.0
-        assert arcs == {(1, 0), (1, 2)}
+        assert sorted(arcs) == [(0, (1, 0)), (1, (1, 2))]
 
     def test_saturated_state(self):
         inst = path_abc()
@@ -136,7 +145,7 @@ class TestMarginalGain:
         for star in enumerate_stars(inst):
             gain, arcs = marginal_gain(state, star)
             assert gain == 0.0
-            assert arcs == set()
+            assert arcs == []
 
     def test_gain_zero_iff_no_new_arcs(self):
         rng = random.Random(19)
@@ -170,12 +179,12 @@ class TestApplyStar:
         inst = path_abc()
         tree = minimum_spanning_tree(inst)
         state = helpers.replay_state(inst, tree, [star_of(inst, 1, 2.0)])
-        before = set(state.arcs_left)
+        before = state.residual_arcs()
         star = star_of(inst, 0, 3.0)
         gain, arcs = marginal_gain(state, star)
         assert gain == 0.0
         apply_star(state, star, arcs)
-        assert state.arcs_left == before
+        assert state.residual_arcs() == before
         assert state.chosen[-1] is star
 
     def test_arc_removal_by_hand(self):
@@ -185,7 +194,7 @@ class TestApplyStar:
         star = star_of(inst, 1, 2.0)
         gain, arcs = marginal_gain(state, star)
         apply_star(state, star, arcs)
-        assert state.arcs_left == {(0, 1), (2, 1)}
+        assert state.residual_arcs() == {(0, 1), (2, 1)}
 
     def test_full_coverage_reaches_tree_cost(self):
         rng = random.Random(29)
@@ -217,8 +226,9 @@ class TestApplyStar:
             for star in stars:
                 _, arcs = marginal_gain(state, star)
                 apply_star(state, star, arcs)
+                residual = state.residual_arcs()
                 for u, v, _ in tree.edges:
-                    assert ((u, v) in state.arcs_left) or ((v, u) in state.arcs_left)
+                    assert ((u, v) in residual) or ((v, u) in residual)
 
 
 @st.composite
