@@ -26,7 +26,7 @@ from minpower.instances import (
     write_assignment,
     write_instance,
 )
-from minpower.lpbound import FractionalSolution, LpError, lp_lower_bound
+from minpower.lpbound import FractionalSolution, LpError, check_cut_tolerance, lp_lower_bound
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,6 +57,7 @@ class RunReport:
     exact_opt: float | None = None
     lp_value: float | None = None
     lp_rounds: int | None = None
+    lp_pivots: int | None = None  # table view only, like the timings
     ratios: dict[str, float] = field(default_factory=dict)
     timings: dict[str, float] = field(default_factory=dict)
 
@@ -95,7 +96,9 @@ class RunReport:
             shown = f"{self.exact_opt:.6f} ({self.exact_status})" if self.exact_opt is not None else self.exact_status
             lines.append(f"exact optimum   {shown}")
         if self.lp_value is not None:
-            lines.append(f"lp bound        {self.lp_value:.6f}  ({self.lp_rounds} rounds)")
+            lines.append(
+                f"lp bound        {self.lp_value:.6f}  ({self.lp_rounds} rounds, {self.lp_pivots} pivots)"
+            )
         for name, value in sorted(self.ratios.items()):
             lines.append(f"ratio {name:<16s} {value:.6f}")
         for phase, secs in sorted(self.timings.items()):
@@ -168,6 +171,7 @@ def _solve_instance(
         if lp is not None:
             report.lp_value = round(lp.value, 6)
             report.lp_rounds = lp.rounds
+            report.lp_pivots = lp.pivots
 
     if exact is not None and exact.optimal and exact.opt > 0:
         report.ratios["greedy_vs_exact"] = round(solution.total_power / exact.opt, 6)
@@ -254,6 +258,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     print(f"total power {assignment.total:.17g}")
     print("strongly connected: pass" if ok else "strongly connected: FAIL")
     return EXIT_OK if ok else EXIT_CERT
+
+
+def _cut_tolerance(text: str) -> float:
+    try:
+        tol = float(text)
+        check_cut_tolerance(tol)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return tol
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -344,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--exact", action="store_true", help="also run the exact oracle")
     common.add_argument("--lp", action="store_true", help="also compute the LP lower bound")
     common.add_argument("--max-exact-n", type=int, default=9, metavar="K")
-    common.add_argument("--tol", type=float, default=1e-7)
+    common.add_argument("--tol", type=_cut_tolerance, default=1e-7, help="LP cut tolerance, in [0, 1e-6]")
     common.add_argument("--out", default=None, help="write structured records to this file")
     common.add_argument("--format", choices=("table", "records"), default="records")
 

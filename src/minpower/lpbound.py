@@ -8,7 +8,8 @@ is within the same 1.85 factor of it.
 
 Rather than shipping the exponentially many cut rows (or the equivalent large
 flow formulation) up front, a restricted master over all canonical stars is
-solved by a small dense simplex and violated cuts are found on demand by
+solved by a small dense simplex, resumed from the previous round's optimal
+basis after each new cut, and violated cuts are found on demand by
 max-flow in a star-expanded network, fixing vertex 0 as the root and running
 both flow directions to every other vertex.
 """
@@ -42,6 +43,7 @@ class FractionalSolution:
     value: float
     rounds: int
     constraints: int
+    pivots: int  # simplex pivots over all rounds
 
 
 @dataclass(frozen=True)
@@ -150,7 +152,8 @@ def most_violated_cut(
     arc center->star with capacity y_S, and star->leaf arcs with effectively
     infinite capacity.  Min cuts from vertex 0 to each t (subsets avoiding 0)
     and from each t back to 0 (subsets containing 0) together range over every
-    proper nonempty subset.  Returns None when all loads reach 1 - tol.
+    proper nonempty subset; the capacities are restored before each max-flow.
+    Returns None when all loads reach 1 - tol.
     """
     weights = solution.weights if isinstance(solution, FractionalSolution) else solution
     n = inst.n
@@ -160,18 +163,17 @@ def most_violated_cut(
     max_y = max((w for _, w in support), default=0.0)
     inf_cap = n * max_y + 1.0  # exceeds 1, so never part of a violated cut
 
-    def build() -> _Dinic:
-        net = _Dinic(n + len(support))
-        for i, (star, w) in enumerate(support):
-            net.add_edge(star.center, n + i, w)
-            for leaf in sorted(star.leaves):
-                net.add_edge(n + i, leaf, inf_cap)
-        return net
+    net = _Dinic(n + len(support))
+    for i, (star, w) in enumerate(support):
+        net.add_edge(star.center, n + i, w)
+        for leaf in sorted(star.leaves):
+            net.add_edge(n + i, leaf, inf_cap)
+    capacities = net.cap[:]
 
     best: CutViolation | None = None
     for t in range(1, n):
         for s, sink in ((0, t), (t, 0)):
-            net = build()
+            net.cap[:] = capacities
             value = net.max_flow(s, sink)
             if value >= 1.0 - tol:
                 continue
@@ -187,69 +189,92 @@ def most_violated_cut(
     return best
 
 
-def _solve_restricted(costs: np.ndarray, rows: list[set[int]]) -> tuple[np.ndarray, float]:
-    """Minimize costs . y over y >= 0 with sum of y over each row's stars >= 1.
+class _Master:
+    """The restricted master, kept optimal from one cut round to the next.
 
-    Solved as the dual maximization (one variable per row, one constraint per
-    star) so the all-slack basis is feasible from the start; Bland's rule picks
-    pivots, which rules out cycling.  The primal weights are read off the slack
-    columns' reduced costs at optimality.
+    Minimize costs . y over y >= 0 with the sum of y over each row's stars at
+    least 1, solved as the dual maximization: one variable per row, one
+    constraint per star, so the all-slack basis is feasible from the start.
+    The tableau has a row per star plus the objective row, and its columns are
+    the star slacks followed by the rows in the order they were added.  The
+    slack block is B^-1, so a new row a enters as the column B^-1 a at value 0:
+    the previous optimal basis stays feasible and solve() resumes from it.
+    Bland's rule picks pivots, which rules out cycling; the primal weights are
+    read off the slack columns' reduced costs at optimality.
     """
-    nstars = len(costs)
-    nrows = len(rows)
-    if nrows == 0:
-        return np.zeros(nstars), 0.0
-    tableau = np.zeros((nstars, nrows + nstars + 1))
-    for i, row in enumerate(rows):
-        for j in row:
-            tableau[j, i] = 1.0
-    tableau[:, nrows : nrows + nstars] = np.eye(nstars)
-    tableau[:, -1] = costs
-    obj = np.zeros(nrows + nstars)
-    obj[:nrows] = 1.0
-    basis = list(range(nrows, nrows + nstars))
 
-    pivot_cap = 200 * (nrows + nstars)
-    for _ in range(pivot_cap):
-        cb = obj[basis]
-        reduced = cb @ tableau[:, :-1] - obj
-        entering = -1
-        for j in range(nrows + nstars):  # Bland: smallest improving index
-            if reduced[j] < -_FEAS_TOL:
-                entering = j
+    def __init__(self, costs: np.ndarray):
+        nstars = len(costs)
+        self.costs = costs
+        self.nstars = nstars
+        self.ncols = nstars
+        # the capacity for row columns doubles as rows arrive; the last tableau
+        # row is the objective row of reduced costs
+        self.tableau = np.zeros((nstars + 1, nstars + 16))
+        self.tableau[:nstars, :nstars] = np.eye(nstars)
+        self.rhs = costs.astype(float)
+        self.basis = np.arange(nstars)
+        self.pivots = 0
+
+    def add_row(self, members: Iterable[int]) -> None:
+        if self.ncols == self.tableau.shape[1]:
+            grown = np.zeros((self.nstars + 1, 2 * self.ncols - self.nstars))
+            grown[:, : self.ncols] = self.tableau
+            self.tableau = grown
+        a = np.zeros(self.nstars)
+        a[list(members)] = 1.0
+        col = self.tableau[:, : self.nstars] @ a  # B^-1 a, and y . a
+        col[-1] -= 1.0  # the new dual variable's objective coefficient
+        self.tableau[:, self.ncols] = col
+        self.ncols += 1
+
+    def solve(self) -> tuple[np.ndarray, float]:
+        nstars = self.nstars
+        tableau = self.tableau[:, : self.ncols]
+        rhs = self.rhs
+        basis = self.basis
+        pivot_cap = 200 * self.ncols
+        for _ in range(pivot_cap):
+            improving = np.flatnonzero(tableau[-1] < -_FEAS_TOL)
+            if improving.size == 0:
                 break
-        if entering < 0:
-            break
-        col = tableau[:, entering]
-        leave = -1
-        best_ratio = float("inf")
-        for i in range(nstars):
-            if col[i] > _FEAS_TOL:
-                ratio = tableau[i, -1] / col[i]
-                if leave < 0 or ratio < best_ratio - _FEAS_TOL:
-                    best_ratio = ratio
-                    leave = i
-                elif ratio <= best_ratio + _FEAS_TOL and basis[i] < basis[leave]:
-                    leave = i  # Bland: smallest basic index among ratio ties
-        if leave < 0:
-            raise LpError("restricted master is unbounded; cut rows are inconsistent")
-        pivot = tableau[leave, entering]
-        tableau[leave] /= pivot
-        for i in range(nstars):
-            if i != leave and tableau[i, entering] != 0.0:
-                tableau[i] -= tableau[i, entering] * tableau[leave]
-        basis[leave] = entering
-    else:
-        raise LpError(f"simplex exceeded {pivot_cap} pivots; conditioning problem")
+            entering = improving[0]  # Bland: smallest improving index
+            col = tableau[:nstars, entering]
+            candidates = np.flatnonzero(col > _FEAS_TOL)
+            if candidates.size == 0:
+                raise LpError("restricted master is unbounded; cut rows are inconsistent")
+            ratios = rhs[candidates] / col[candidates]
+            ties = candidates[ratios <= ratios.min() + _FEAS_TOL]
+            leave = ties[np.argmin(basis[ties])]  # Bland: smallest basic index among ratio ties
+            pivot_col = tableau[:, entering].copy()
+            tableau[leave] /= pivot_col[leave]
+            rhs[leave] /= pivot_col[leave]
+            pivot_col[leave] = 0.0
+            # about a third of the rows at n = 20; blocks of 64 rows keep the
+            # rank-one update's temporaries small
+            touched = np.flatnonzero(pivot_col)
+            for block in np.array_split(touched, len(touched) // 64 + 1):
+                tableau[block] -= np.outer(pivot_col[block], tableau[leave])
+            rhs -= pivot_col[:nstars] * rhs[leave]
+            basis[leave] = entering
+            self.pivots += 1
+        else:
+            raise LpError(f"simplex exceeded {pivot_cap} pivots; conditioning problem")
 
-    cb = obj[basis]
-    value = float(cb @ tableau[:, -1])
-    reduced = cb @ tableau[:, :-1] - obj
-    y = np.maximum(reduced[nrows : nrows + nstars], 0.0)
-    primal_value = float(costs @ y)
-    if abs(primal_value - value) > _VALUE_TOL * max(1.0, abs(value)):
-        raise LpError(f"duality gap {primal_value} vs {value} in restricted master")
-    return y, value
+        cb = (basis >= nstars).astype(float)
+        value = float(cb @ rhs)
+        y = np.maximum(cb @ tableau[:nstars, :nstars], 0.0)
+        primal_value = float(self.costs @ y)
+        if abs(primal_value - value) > _VALUE_TOL * max(1.0, abs(value)):
+            raise LpError(f"duality gap {primal_value} vs {value} in restricted master")
+        return y, value
+
+
+def check_cut_tolerance(tol: float) -> None:
+    """A cut tolerance tau only guarantees value >= (1 - tau) * LP, so it must
+    lie in [0, _VALUE_TOL] for the value to be the bound it is reported as."""
+    if not 0.0 <= tol <= _VALUE_TOL:
+        raise ValueError(f"cut tolerance {tol!r} is outside [0, {_VALUE_TOL:g}]")
 
 
 def lp_lower_bound(inst: Instance, tol: float = _CUT_TOL, max_rounds: int = 10_000) -> FractionalSolution:
@@ -261,35 +286,34 @@ def lp_lower_bound(inst: Instance, tol: float = _CUT_TOL, max_rounds: int = 10_0
     more than tol.  Each round adds a constraint the master did not have, so
     the loop terminates; the final separation sweep is the certificate.
     """
+    check_cut_tolerance(tol)
     n = inst.n
     stars = enumerate_stars(inst)
     if n == 1:
-        return FractionalSolution({}, 0.0, 0, 0)
+        return FractionalSolution({}, 0.0, 0, 0, 0)
     costs = np.array([s.radius for s in stars])
     keys = [(s.center, s.radius) for s in stars]
-
-    rows: list[set[int]] = []
+    master = _Master(costs)
     seen_rows: set[frozenset[int]] = set()
 
-    def add_row(members: set[int]) -> bool:
-        frozen = frozenset(members)
-        if frozen in seen_rows:
+    def add_row(members: frozenset[int]) -> bool:
+        if members in seen_rows:
             return False
-        seen_rows.add(frozen)
-        rows.append(members)
+        seen_rows.add(members)
+        master.add_row(members)
         return True
 
     for v in range(n):
-        add_row({j for j, s in enumerate(stars) if s.center != v and v in s.leaves})
-        add_row({j for j, s in enumerate(stars) if s.center == v})
+        add_row(frozenset(j for j, s in enumerate(stars) if s.center != v and v in s.leaves))
+        add_row(frozenset(j for j, s in enumerate(stars) if s.center == v))
 
     for round_no in range(1, max_rounds + 1):
-        y, value = _solve_restricted(costs, rows)
+        y, value = master.solve()
         weights = {keys[j]: float(y[j]) for j in range(len(stars)) if y[j] > 1e-12}
         violation = most_violated_cut(inst, weights, tol)
         if violation is None:
-            return FractionalSolution(weights, value, round_no, len(rows))
-        members = {j for j, s in enumerate(stars) if enters_cut(s, violation.subset)}
+            return FractionalSolution(weights, value, round_no, len(seen_rows), master.pivots)
+        members = frozenset(j for j, s in enumerate(stars) if enters_cut(s, violation.subset))
         if not add_row(members):
             raise LpError(
                 f"separation returned an existing constraint (load {violation.load}); "

@@ -226,12 +226,12 @@ def coverage_value(tree: Tree, stars: list[Star]) -> float:
 
 
 def exhaustive_min_cut_load(inst: Instance, weights: dict[tuple[int, float], float]):
-    """Minimum entering load over all proper nonempty subsets (n <= 6)."""
+    """Minimum entering load over all proper nonempty subsets (n <= 9)."""
     from minpower.lpbound import cut_load
     from minpower.stars import Star
 
     n = inst.n
-    assert n <= 6
+    assert n <= 9
     support = []
     for (center, radius), w in sorted(weights.items()):
         leaves = frozenset(v for c, v, _ in inst.adj[center] if c <= radius)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -98,6 +99,49 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "MST power" in out
         assert "certificates    ok" in out
+
+    def test_table_shows_lp_pivots_records_do_not(self, line_instance, capsys):
+        assert main(["solve", str(line_instance), "--lp", "--format", "table"]) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("lp bound"))
+        assert re.fullmatch(r"lp bound +[0-9.]+  \(\d+ rounds, \d+ pivots\)", line)
+        assert main(["solve", str(line_instance), "--lp"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["lp_rounds"] > 0
+        assert not any("pivot" in key for key in record)
+
+
+class TestTolerance:
+    @pytest.fixture()
+    def r8_instance(self, tmp_path):
+        # the cut tolerance 5 or nan stopped this instance's LP at 0.386859,
+        # below c(MST) 0.491111
+        path = tmp_path / "r8.txt"
+        assert main(["gen", "family=random-geometric,n=8,kappa=2,seed=3", "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "5", "-1"])
+    @pytest.mark.parametrize("command", ["solve", "bench"])
+    def test_bad_tolerance_exits_1(self, r8_instance, capsys, command, tol):
+        capsys.readouterr()
+        target = (
+            [str(r8_instance)]
+            if command == "solve"
+            else ["--spec", "family=random-geometric,n=8,kappa=2", "--seeds", "3"]
+        )
+        with pytest.raises(SystemExit) as exc:
+            main([command, *target, "--lp", "--tol", tol])
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert "argument --tol: cut tolerance" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("tol", ["0", "1e-7"])
+    def test_tolerance_accepted(self, r8_instance, capsys, tol):
+        capsys.readouterr()
+        assert main(["solve", str(r8_instance), "--lp", "--tol", tol]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["c_mst"] == pytest.approx(0.491111, abs=1e-6)
+        assert record["lp_value"] == 0.650795
 
 
 class TestVerify:

@@ -6,16 +6,29 @@ import pytest
 from scipy.optimize import linprog
 
 import helpers
+from minpower import lpbound
 from minpower.exact import exact_optimum
 from minpower.graph import Instance, minimum_spanning_tree
 from minpower.greedy import greedy_solve
-from minpower.instances import gen_line
+from minpower.instances import gen_line, gen_random_geometric
 from minpower.lpbound import cut_load, enters_cut, lp_lower_bound, most_violated_cut
 from minpower.stars import enumerate_stars, Star
 
 
 def triangle():
     return Instance.from_edges(3, [(0, 1, 3.0), (1, 2, 4.0), (0, 2, 5.0)])
+
+
+def highs_master(costs, rows):
+    """Independent oracle: minimize costs . y, y >= 0, each row's stars summing to >= 1."""
+    a_ub = np.zeros((len(rows), len(costs)))
+    for i, row in enumerate(rows):
+        a_ub[i, sorted(row)] = -1.0
+    res = linprog(
+        costs, A_ub=a_ub, b_ub=-np.ones(len(rows)), bounds=[(0, None)] * len(costs), method="highs"
+    )
+    assert res.success
+    return float(res.fun)
 
 
 def full_cut_lp(inst):
@@ -25,16 +38,8 @@ def full_cut_lp(inst):
     rows = []
     for mask in range(1, (1 << n) - 1):
         subset = frozenset(v for v in range(n) if mask >> v & 1)
-        rows.append([-1.0 if enters_cut(s, subset) else 0.0 for s in stars])
-    res = linprog(
-        [s.radius for s in stars],
-        A_ub=np.array(rows),
-        b_ub=-np.ones(len(rows)),
-        bounds=[(0, None)] * len(stars),
-        method="highs",
-    )
-    assert res.success
-    return float(res.fun)
+        rows.append([j for j, s in enumerate(stars) if enters_cut(s, subset)])
+    return highs_master([s.radius for s in stars], rows)
 
 
 class TestLowerBound:
@@ -76,6 +81,54 @@ class TestLowerBound:
     def test_single_vertex(self):
         assert lp_lower_bound(Instance.from_edges(1, [])).value == 0.0
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 5.0, -1.0, 2e-6])
+    def test_bad_tolerance_rejected(self, tol):
+        # a cut tolerance tau only guarantees value >= (1 - tau) LP
+        with pytest.raises(ValueError, match="cut tolerance"):
+            lp_lower_bound(triangle(), tol)
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-7, 1e-6])
+    def test_tolerance_range_accepted(self, tol):
+        assert lp_lower_bound(triangle(), tol).value == pytest.approx(11.0, abs=1e-6)
+
+    def test_pivot_count_repeats(self):
+        inst = gen_random_geometric(12, 1.0, 5)
+        first = lp_lower_bound(inst)
+        second = lp_lower_bound(inst)
+        assert first.pivots > 0
+        assert (second.pivots, second.rounds) == (first.pivots, first.rounds)
+
+
+class TestWarmMaster:
+    """The master keeps its basis across rounds; HiGHS re-solves each row set cold."""
+
+    @pytest.mark.parametrize(
+        "n,kappa,seed", [(10, 1.0, 0), (11, 2.0, 1), (12, 4.0, 2), (13, 1.0, 3), (14, 2.0, 4)]
+    )
+    def test_every_round_matches_highs(self, monkeypatch, n, kappa, seed):
+        rows, values = [], []
+        add_row, solve = lpbound._Master.add_row, lpbound._Master.solve
+
+        def recording_add_row(master, members):
+            rows.append(frozenset(members))
+            add_row(master, members)
+
+        def recording_solve(master):
+            y, value = solve(master)
+            values.append((len(rows), value))
+            return y, value
+
+        monkeypatch.setattr(lpbound._Master, "add_row", recording_add_row)
+        monkeypatch.setattr(lpbound._Master, "solve", recording_solve)
+        inst = gen_random_geometric(n, kappa, seed)
+        frac = lp_lower_bound(inst)
+        costs = [s.radius for s in enumerate_stars(inst)]
+        assert len(values) == frac.rounds > 1
+        assert frac.constraints == len(rows)
+        for count, value in values:
+            assert value == pytest.approx(highs_master(costs, rows[:count]), abs=1e-7)
+        assert frac.value == pytest.approx(highs_master(costs, rows), abs=1e-7)
+
 
 class TestSeparation:
     def test_zero_weights_violated(self):
@@ -98,7 +151,7 @@ class TestSeparation:
     def test_soundness_of_reported_cuts(self):
         rng = random.Random(97)
         for _ in range(30):
-            inst = helpers.random_connected_instance(rng, rng.randint(2, 6))
+            inst = helpers.random_connected_instance(rng, rng.randint(2, 9))
             stars = enumerate_stars(inst)
             weights = {}
             for s in stars:
@@ -118,7 +171,7 @@ class TestSeparation:
     def test_agrees_with_exhaustive_enumeration(self):
         rng = random.Random(101)
         for _ in range(30):
-            inst = helpers.random_connected_instance(rng, rng.randint(2, 6))
+            inst = helpers.random_connected_instance(rng, rng.randint(2, 9))
             stars = enumerate_stars(inst)
             weights = {}
             for s in stars:
