@@ -119,32 +119,6 @@ class Tree:
     edges: tuple[tuple[int, int, float], ...]
 
     @cached_property
-    def adj(self) -> tuple[tuple[tuple[int, int, float], ...], ...]:
-        """adj[u]: (neighbor, edge_index, cost) in edge order."""
-        lists: list[list[tuple[int, int, float]]] = [[] for _ in range(self.n)]
-        for idx, (u, v, c) in enumerate(self.edges):
-            lists[u].append((v, idx, c))
-            lists[v].append((u, idx, c))
-        return tuple(tuple(l) for l in lists)
-
-    def rooted_parents(self, root: int) -> tuple[list[int], list[int]]:
-        """Parent vertex and parent edge index arrays for the tree rooted at root."""
-        parent = [-1] * self.n
-        parent_edge = [-1] * self.n
-        seen = bytearray(self.n)
-        seen[root] = 1
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, idx, _ in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    parent[v] = u
-                    parent_edge[v] = idx
-                    queue.append(v)
-        return parent, parent_edge
-
-    @cached_property
     def total_cost(self) -> float:
         return float(sum(c for _, _, c in self.edges))
 

@@ -24,7 +24,7 @@ from minpower.graph import (
     minimum_spanning_tree,
     power_of,
 )
-from minpower.stars import CoverState, Star, apply_star, marginal_gain, star_at
+from minpower.stars import CoverState, Star, apply_star, marginal_gain, root_quotient, star_at
 
 _REL_TOL = 1e-9
 
@@ -97,7 +97,7 @@ def _scan_center(
     inst: Instance,
     u: int,
     label: list[int],
-    qadj: dict[int, list[tuple[int, float]]],
+    quotient: dict[int, list[tuple[int, float, int]]],
     ncomp: int,
 ) -> tuple[float, float, float] | None:
     """Best (ratio, gain, radius) of the stars at center u, or None if none gains.
@@ -106,20 +106,7 @@ def _scan_center(
     every radius at u; ties break toward larger gain, then smaller radius.
     """
     root = label[u]
-    # BFS parents on the quotient tree rooted at this center's component
-    qpar: dict[int, int] = {root: -1}
-    qcost: dict[int, float] = {}
-    queue = [root]
-    qi = 0
-    while qi < len(queue):
-        x = queue[qi]
-        qi += 1
-        for y, c in qadj.get(x, ()):
-            if y not in qpar:
-                qpar[y] = x
-                qcost[y] = c
-                queue.append(y)
-
+    links = root_quotient(quotient, root)
     best: tuple[float, float, float] | None = None
     reached = {root}
     acc = 0.0
@@ -140,8 +127,8 @@ def _scan_center(
         lv = label[v]
         while lv not in reached:
             reached.add(lv)
-            acc += qcost[lv]
-            lv = qpar[lv]
+            lv, edge_cost, _ = links[lv]
+            acc += edge_cost
         if len(reached) == ncomp:
             # larger radii at this center add no gain and only cost more
             consider(c, acc)
@@ -173,24 +160,15 @@ def select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
     """
     if state.all_covered:
         raise RuntimeError("select_best_star called with every tree edge covered")
-    tree = state.tree
-    label = state._label
+    label = state.label
+    quotient = state.quotient()
     ncomp = state.component_count()
-
-    # quotient tree over component labels: uncovered edges only
-    qadj: dict[int, list[tuple[int, float]]] = {}
-    for u, v, c in tree.edges:
-        lu, lv = label[u], label[v]
-        if lu == lv:
-            continue
-        qadj.setdefault(lu, []).append((lv, c))
-        qadj.setdefault(lv, []).append((lu, c))
 
     heap = state.bounds
     stamp = len(state.chosen)
     while heap and heap[0][4] != stamp:
         u = heap[0][2]
-        found = _scan_center(inst, u, label, qadj, ncomp)
+        found = _scan_center(inst, u, label, quotient, ncomp)
         state.center_scans += 1
         if found is None:
             heapq.heappop(heap)
@@ -214,7 +192,7 @@ def _precover_zero_edges(state: CoverState) -> list[TraceEntry]:
     ratio convention never has to arbitrate between free stars and real ones.
     """
     entries: list[TraceEntry] = []
-    label = state._label
+    label = state.label
     for a, b, c in state.tree.edges:
         if c != 0.0 or label[a] == label[b]:
             continue

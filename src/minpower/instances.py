@@ -69,6 +69,11 @@ class GeneratorSpec:
 
     @classmethod
     def parse(cls, text: str) -> "GeneratorSpec":
+        """Parse comma-separated key=value fields.
+
+        Raises ValueError on an unknown or repeated field, a malformed value,
+        or a complete value other than 1/true/yes/0/false/no (any case).
+        """
         fields: dict[str, object] = {}
         for part in text.split(","):
             part = part.strip()
@@ -79,19 +84,21 @@ class GeneratorSpec:
             key, _, value = part.partition("=")
             key = key.strip().lower()
             value = value.strip()
+            name = "epsilon" if key == "eps" else key
+            if name in fields:
+                raise ValueError(f"repeated generator field {key!r}")
             try:
-                if key == "family":
-                    fields["family"] = value
-                elif key == "n":
-                    fields["n"] = int(value)
-                elif key in ("eps", "epsilon"):
-                    fields["epsilon"] = float(value)
-                elif key == "kappa":
-                    fields["kappa"] = float(value)
-                elif key == "seed":
-                    fields["seed"] = int(value)
-                elif key == "complete":
-                    fields["complete"] = value.lower() in ("1", "true", "yes")
+                if name == "family":
+                    fields[name] = value
+                elif name in ("n", "seed"):
+                    fields[name] = int(value)
+                elif name in ("epsilon", "kappa"):
+                    fields[name] = float(value)
+                elif name == "complete":
+                    flag = value.lower()
+                    if flag not in ("1", "true", "yes", "0", "false", "no"):
+                        raise ValueError("expected 1/true/yes or 0/false/no")
+                    fields[name] = flag in ("1", "true", "yes")
                 else:
                     raise ValueError(f"unknown generator field {key!r}")
             except ValueError as exc:
@@ -220,11 +227,6 @@ def gen_polygon(n: int) -> tuple[Instance, PowerAssignment]:
         succ = (v + 1) % total
         levels[v] = inst.cost(v, succ)
     return inst, PowerAssignment(tuple(levels))
-
-
-def polygon_witness_power(n: int) -> float:
-    """Closed form n + n^2 eps^2 with eps = 1/n, i.e. exactly n + 1."""
-    return n + n**2 * (1.0 / n) ** 2
 
 
 def gen_random_geometric(n: int, kappa: float, seed: int, complete: bool = True) -> Instance:

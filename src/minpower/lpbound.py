@@ -143,7 +143,7 @@ def _support(inst: Instance, weights: Mapping[StarKey, float]) -> list[tuple[Sta
 
 def most_violated_cut(
     inst: Instance,
-    solution: "FractionalSolution | Mapping[StarKey, float]",
+    weights: Mapping[StarKey, float],
     tol: float = _CUT_TOL,
 ) -> CutViolation | None:
     """Find the vertex subset whose entering weight falls furthest below 1.
@@ -155,7 +155,6 @@ def most_violated_cut(
     proper nonempty subset; the capacities are restored before each max-flow.
     Returns None when all loads reach 1 - tol.
     """
-    weights = solution.weights if isinstance(solution, FractionalSolution) else solution
     n = inst.n
     if n <= 1:
         return None

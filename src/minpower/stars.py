@@ -58,13 +58,15 @@ def enumerate_stars(inst: Instance) -> list[Star]:
 class CoverState:
     """Mutable bookkeeping for a star collection covering tree edges.
 
-    Covered tree edges are contracted: every vertex carries a component label,
-    and because a tree has no cycles, a tree edge is covered exactly when its
-    endpoints share a label.  Covering an edge removes the one arc of the
-    bidirected tree that points away from the covering star's center; the
-    state records that arc's tail per covered edge, and the antiparallel arc
-    survives for good.  Also tracks the chosen stars, the covered cost, and the
-    greedy's per-center upper bounds with its count of center scans.
+    Covered tree edges are contracted: label[v] names the component of vertex
+    v, and because a tree has no cycles, a tree edge is covered exactly when
+    its endpoints share a label.  The components and the uncovered edges form
+    the quotient tree (see quotient and root_quotient).  Covering an edge
+    removes the one arc of the bidirected tree that points away from the
+    covering star's center; the state records that arc's tail per covered
+    edge, and the antiparallel arc survives for good.  Also tracks the chosen
+    stars, the covered cost, and the greedy's per-center upper bounds with its
+    count of center scans.
     """
 
     def __init__(self, inst: Instance, tree: Tree):
@@ -72,7 +74,7 @@ class CoverState:
         self.tree = tree
         self.chosen: list[Star] = []
         self.covered_cost = 0.0
-        self._label = list(range(inst.n))
+        self.label = list(range(inst.n))
         self._members: dict[int, list[int]] = {v: [v] for v in range(inst.n)}
         self._removed_tail: dict[int, int] = {}  # covered edge index -> tail
         # lazy greedy: heap of stale best-star keys (-ratio, -gain, center,
@@ -105,46 +107,81 @@ class CoverState:
                 arcs.add((v, u))
         return arcs
 
+    def quotient(self) -> dict[int, list[tuple[int, float, int]]]:
+        """The tree with covered edges contracted, as adjacency over labels.
+
+        quotient[l] lists (neighbour label, cost, tree-edge index) for every
+        uncovered edge leaving component l, in tree-edge order.
+        """
+        label = self.label
+        adj: dict[int, list[tuple[int, float, int]]] = {}
+        for idx, (u, v, c) in enumerate(self.tree.edges):
+            lu, lv = label[u], label[v]
+            if lu != lv:
+                adj.setdefault(lu, []).append((lv, c, idx))
+                adj.setdefault(lv, []).append((lu, c, idx))
+        return adj
+
     def _merge(self, a: int, b: int) -> None:
-        la, lb = self._label[a], self._label[b]
+        la, lb = self.label[a], self.label[b]
         if len(self._members[la]) < len(self._members[lb]):
             la, lb = lb, la
         for v in self._members[lb]:
-            self._label[v] = la
+            self.label[v] = la
         self._members[la].extend(self._members[lb])
         del self._members[lb]
+
+
+def root_quotient(
+    quotient: dict[int, list[tuple[int, float, int]]], root: int
+) -> dict[int, tuple[int, float, int]]:
+    """Parent links of the quotient tree rooted at component root.
+
+    Maps every other component label to (parent label, cost, tree-edge index)
+    of the uncovered edge leading toward root, by breadth-first search.
+    """
+    links: dict[int, tuple[int, float, int]] = {}
+    queue = [(root, -1)]
+    qi = 0
+    while qi < len(queue):
+        x, up = queue[qi]
+        qi += 1
+        for y, c, idx in quotient.get(x, ()):
+            if y != up:
+                links[y] = (x, c, idx)
+                queue.append((y, x))
+    return links
 
 
 def marginal_gain(state: CoverState, star: Star) -> tuple[float, list[tuple[int, Arc]]]:
     """Coverage gained by adding star, plus the arcs to drop from the tree.
 
-    The star covers the tree edges on paths from its center to its leaves.
-    Roots the tree at the center and climbs from each leaf toward it, stopping
-    at vertices already visited, so each such edge is met once.  Returns (gain,
-    new_arcs): gain is the total cost of the edges whose endpoints were still
-    in different components, new_arcs those edges as (edge index, arc oriented
-    away from the center) in the order met.  new_arcs is empty iff the star
-    covers nothing new, and then gain is 0.
+    The star covers the tree edges on paths from its center to its leaves; the
+    uncovered ones are the quotient tree's edges on paths between their
+    components.  Roots the quotient at the center's component and climbs from
+    each leaf's component toward it, stopping at components already reached,
+    so each such edge is met once.  Returns (gain, new_arcs): gain is the total
+    cost of those edges, new_arcs those edges as (edge index, arc from the
+    endpoint in the parent component to the one in the child) in the order
+    met.  new_arcs is empty iff the star covers nothing new, and then gain is 0.
     """
     if not star.leaves:
         return 0.0, []
-    tree = state.tree
-    label = state._label
-    parent, parent_edge = tree.rooted_parents(star.center)
-    visited = bytearray(tree.n)
-    visited[star.center] = 1
+    label = state.label
+    edges = state.tree.edges
+    root = label[star.center]
+    links = root_quotient(state.quotient(), root)
+    reached = {root}
     gain = 0.0
     new_arcs: list[tuple[int, Arc]] = []
     for v in sorted(star.leaves):
-        x = v
-        while not visited[x]:
-            visited[x] = 1
-            p = parent[x]
-            if label[p] != label[x]:
-                idx = parent_edge[x]
-                gain += tree.edges[idx][2]
-                new_arcs.append((idx, (p, x)))
-            x = p
+        x = label[v]
+        while x not in reached:
+            reached.add(x)
+            x, c, idx = links[x]
+            a, b, _ = edges[idx]
+            gain += c
+            new_arcs.append((idx, (a, b) if label[a] == x else (b, a)))
     return gain, new_arcs
 
 
@@ -154,7 +191,7 @@ def apply_star(state: CoverState, star: Star, new_arcs: list[tuple[int, Arc]]) -
     new_arcs must be the marginal_gain output against this exact state; an arc
     whose edge is already covered signals a caller bug and raises RuntimeError.
     """
-    label = state._label
+    label = state.label
     for idx, (u, v) in new_arcs:
         if label[u] == label[v]:
             raise RuntimeError(f"stale arc {u}->{v}: edge {idx} already covered")

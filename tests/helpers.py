@@ -30,7 +30,7 @@ def eager_select_best_star(inst: Instance, state: CoverState) -> tuple[Star, flo
     if state.all_covered:
         raise RuntimeError("eager_select_best_star called with every tree edge covered")
     tree = state.tree
-    label = state._label
+    label = state.label
     ncomp = state.component_count()
 
     # quotient tree over component labels: uncovered edges only
@@ -226,22 +226,27 @@ def coverage_value(tree: Tree, stars: list[Star]) -> float:
 
 
 def exhaustive_min_cut_load(inst: Instance, weights: dict[tuple[int, float], float]):
-    """Minimum entering load over all proper nonempty subsets (n <= 9)."""
-    from minpower.lpbound import cut_load
-    from minpower.stars import Star
+    """Minimum entering load over all proper nonempty subsets (n <= 9).
 
+    A star enters X when its center lies outside X and some leaf inside;
+    leaves are read straight from the adjacency, so this shares no code with
+    the separation oracle it checks.
+    """
     n = inst.n
     assert n <= 9
     support = []
     for (center, radius), w in sorted(weights.items()):
-        leaves = frozenset(v for c, v, _ in inst.adj[center] if c <= radius)
-        support.append((Star(center, radius, leaves), w))
+        leaves = [v for c, v, _ in inst.adj[center] if c <= radius]
+        support.append((center, leaves, w))
     best_load = float("inf")
     best_subset: frozenset[int] | None = None
     for mask in range(1, (1 << n) - 1):
-        subset = frozenset(v for v in range(n) if mask >> v & 1)
-        load = cut_load(support, subset)
+        load = sum(
+            w
+            for center, leaves, w in support
+            if not mask >> center & 1 and any(mask >> v & 1 for v in leaves)
+        )
         if load < best_load:
             best_load = load
-            best_subset = subset
+            best_subset = frozenset(v for v in range(n) if mask >> v & 1)
     return best_load, best_subset

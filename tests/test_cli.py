@@ -237,6 +237,32 @@ class TestBench:
         assert captured.out == ""
 
 
+HOSTILE_SPECS = [
+    "family=random-geometric,n=5,n=9,seed=1,seed=2",
+    "family=random-geometric,n=6,complete=flase",
+]
+
+
+class TestHostileSpecs:
+    @pytest.mark.parametrize("spec", HOSTILE_SPECS)
+    def test_gen_exits_1(self, tmp_path, capsys, spec):
+        out = tmp_path / "x.txt"
+        code = main(["gen", spec, "--out", str(out)])
+        assert code == 1
+        assert "generator field" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", HOSTILE_SPECS)
+    def test_bench_exits_1(self, tmp_path, capsys, spec):
+        out = tmp_path / "b.jsonl"
+        code = main(["bench", "--spec", spec, "--seeds", "0:2", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "generator field" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestUsageErrors:
     def test_unknown_subcommand_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

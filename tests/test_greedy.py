@@ -15,6 +15,7 @@ from minpower.greedy import (
     select_best_star,
 )
 from minpower.instances import gen_line, gen_random_geometric
+from minpower.lpbound import lp_lower_bound
 from minpower.stars import CoverState, apply_star, enumerate_stars, marginal_gain
 
 
@@ -265,3 +266,31 @@ class TestGreedyInvariants:
             for entry in sol.trace:
                 if entry.power > 0.0:
                     assert entry.gain >= entry.power
+
+
+class TestCostScaling:
+    """Scaling every cost by 2**k is exact in floating point, so it must scale
+    every greedy pick's radius and gain, and the total, exactly."""
+
+    @staticmethod
+    def scaled(inst, factor):
+        return Instance.from_edges(inst.n, [(u, v, c * factor) for u, v, c in inst.edges])
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0, 4.0])
+    def test_greedy_and_lp_scale(self, kappa):
+        rng = random.Random(int(kappa) * 7919)
+        for _ in range(8):
+            inst = gen_random_geometric(
+                rng.randint(8, 15), kappa, rng.randrange(10**6), complete=rng.random() < 0.5
+            )
+            sol = greedy_solve(inst)
+            value = lp_lower_bound(inst).value
+            for k in (-3, 5):
+                factor = 2.0**k
+                other = self.scaled(inst, factor)
+                got = greedy_solve(other)
+                assert [(e.star.center, e.star.radius, e.gain) for e in got.trace] == [
+                    (e.star.center, e.star.radius * factor, e.gain * factor) for e in sol.trace
+                ]
+                assert got.total_power == sol.total_power * factor
+                assert lp_lower_bound(other).value == pytest.approx(value * factor, rel=1e-9)

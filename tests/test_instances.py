@@ -10,7 +10,6 @@ from minpower.instances import (
     gen_random_geometric,
     line_alternative_assignment,
     line_alternative_power,
-    polygon_witness_power,
     read_assignment,
     read_instance,
     sparsify_k_nearest,
@@ -78,8 +77,7 @@ class TestPolygonFamily:
         for n in (2, 3, 5):
             inst, witness = gen_polygon(n)
             assert verify_assignment(inst, witness)
-            assert witness.total == pytest.approx(polygon_witness_power(n), rel=1e-9)
-            assert polygon_witness_power(n) == pytest.approx(n + 1, rel=1e-12)
+            assert witness.total == pytest.approx(n + 1, rel=1e-9)
 
     def test_side_lengths_are_unit(self):
         inst, _ = gen_polygon(3)
@@ -211,6 +209,32 @@ class TestGeneratorSpec:
         for text in ("family=ring,n=3", "n=3", "family=line", "family=line,n=x"):
             with pytest.raises(ValueError):
                 GeneratorSpec.parse(text)
+
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("family=random-geometric,n=5,n=9,seed=1", "'n'"),
+            ("family=random-geometric,n=5,seed=1,seed=2", "'seed'"),
+            ("family=line,n=3,eps=0.25,epsilon=0.5", "'epsilon'"),
+            ("family=line,family=polygon,n=3", "'family'"),
+        ],
+    )
+    def test_repeated_field_rejected(self, text, field):
+        with pytest.raises(ValueError, match=f"repeated generator field {field}"):
+            GeneratorSpec.parse(text)
+
+    @pytest.mark.parametrize("value", ["flase", "", "2", "on", "t"])
+    def test_bad_complete_rejected(self, value):
+        with pytest.raises(ValueError, match=f"complete={value}"):
+            GeneratorSpec.parse(f"family=random-geometric,n=6,complete={value}")
+
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False)],
+    )
+    def test_complete_values(self, value, expected):
+        spec = GeneratorSpec.parse(f"family=random-geometric,n=6,complete={value}")
+        assert spec.complete is expected
 
     def test_polygon_build_has_witness(self):
         inst, witness = GeneratorSpec.parse("family=polygon,n=2").build()

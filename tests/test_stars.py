@@ -173,6 +173,32 @@ class TestMarginalGain:
                 abs=1e-9,
             )
 
+    def test_reused_state_matches_tree_paths(self):
+        # states built from random, mostly non-greedy stars: the new arcs are
+        # the star's pairwise cover minus what is covered, each oriented away
+        # from the center, and the gain sums their costs in arc order
+        rng = random.Random(37)
+        for _ in range(40):
+            inst = helpers.random_connected_instance(rng, rng.randint(2, 9))
+            tree = minimum_spanning_tree(inst)
+            stars = enumerate_stars(inst)
+            chosen = rng.sample(stars, rng.randrange(len(stars) + 1))
+            state = helpers.replay_state(inst, tree, chosen)
+            covered = set()
+            for star in chosen:
+                covered |= helpers.pairwise_cover(tree, star)
+            for star in stars:
+                gain, arcs = marginal_gain(state, star)
+                idxs = [idx for idx, _ in arcs]
+                assert set(idxs) == helpers.pairwise_cover(tree, star) - covered
+                assert len(idxs) == len(set(idxs))
+                for idx, (u, v) in arcs:
+                    assert {u, v} == set(tree.edges[idx][:2])
+                    to_tail = helpers.tree_path_edges(tree, star.center, u)
+                    to_head = helpers.tree_path_edges(tree, star.center, v)
+                    assert len(to_tail) + 1 == len(to_head)
+                assert gain == sum(tree.edges[idx][2] for idx in idxs)
+
 
 class TestApplyStar:
     def test_zero_gain_star_grows_collection_only(self):
