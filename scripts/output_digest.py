@@ -1,0 +1,86 @@
+#!/usr/bin/env python3
+"""Digest the solvers' exact outputs on fixed corpora, to show that a change
+leaves them bit-identical.
+
+Prints two lines.  The greedy digest covers every trace entry (center, radius,
+gain and power, as float hex) and the total power of each instance; the LP
+digest covers each instance's bound value (float hex), rounds, constraints and
+simplex pivots.  Run it on two checkouts and compare the lines.  --max-n keeps
+only the specs with n up to the given value, for a quick run.
+"""
+
+import argparse
+import hashlib
+
+from minpower import GeneratorSpec, greedy_solve, lp_lower_bound
+
+GREEDY_SPECS = (
+    [f"family=line,n={n},eps={eps}" for eps in (0.25, 0.0078125) for n in (2, 5, 10, 25, 50)]
+    + [f"family=polygon,n={n}" for n in range(2, 7)]
+    + [
+        f"family=random-geometric,n={n},kappa={kappa},seed={seed}"
+        for n in (5, 10, 20, 40, 80, 120)
+        for kappa in (1, 2, 4)
+        for seed in (0, 1)
+    ]
+    + [
+        f"family=random-geometric,n={n},kappa={kappa},seed=0,complete=false"
+        for n in (20, 60, 120)
+        for kappa in (1, 2, 4)
+    ]
+)
+
+LP_SPECS = (
+    [
+        f"family=random-geometric,n={n},kappa={kappa},seed={seed}"
+        for n in (8, 9, 10, 14, 17, 20)
+        for kappa in (1, 2, 4)
+        for seed in range(4)
+    ]
+    + [
+        f"family=random-geometric,n={n},kappa={kappa},seed={seed},complete=false"
+        for n in (12, 25)
+        for kappa in (1, 2, 4)
+        for seed in (0, 1)
+    ]
+    + [f"family=line,n={n},eps=0.25" for n in (2, 3, 4, 5, 8)]
+    + [f"family=polygon,n={n}" for n in (2, 3, 4)]
+)
+
+
+def greedy_lines(inst):
+    solution = greedy_solve(inst)
+    for entry in solution.trace:
+        star = entry.star
+        yield f"{star.center} {star.radius.hex()} {entry.gain.hex()} {entry.power.hex()}"
+    yield f"total {solution.total_power.hex()}"
+
+
+def lp_lines(inst):
+    frac = lp_lower_bound(inst)
+    yield f"{frac.value.hex()} {frac.rounds} {frac.constraints} {frac.pivots}"
+
+
+def digest(specs, lines) -> str:
+    h = hashlib.sha256()
+    for spec in specs:
+        inst, _ = spec.build()
+        h.update(f"{spec.canonical()}\n".encode())
+        for line in lines(inst):
+            h.update(f"{line}\n".encode())
+    return h.hexdigest()[:16]
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--max-n", type=int, default=None, help="skip specs with a larger n")
+    args = parser.parse_args()
+
+    for name, texts, lines in (("greedy", GREEDY_SPECS, greedy_lines), ("lp", LP_SPECS, lp_lines)):
+        specs = [GeneratorSpec.parse(text) for text in texts]
+        specs = [s for s in specs if args.max_n is None or s.n <= args.max_n]
+        print(f"{name:<6} {len(specs):>3} instances  digest {digest(specs, lines)}")
+
+
+if __name__ == "__main__":
+    main()

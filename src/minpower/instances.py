@@ -26,6 +26,7 @@ hold one "v power" line per vertex.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 from minpower.graph import Instance, InstanceError, PowerAssignment, minimum_spanning_tree
@@ -65,16 +66,19 @@ class GeneratorSpec:
     seed: int = 0
     complete: bool = True
 
-    FAMILIES = ("line", "polygon", "random-geometric")
+    # each family and the fields it reads besides family and n
+    FAMILIES = {"line": ("epsilon",), "polygon": (), "random-geometric": ("kappa", "seed", "complete")}
 
     @classmethod
     def parse(cls, text: str) -> "GeneratorSpec":
         """Parse comma-separated key=value fields.
 
-        Raises ValueError on an unknown or repeated field, a malformed value,
-        or a complete value other than 1/true/yes/0/false/no (any case).
+        Raises ValueError on an unknown or repeated field, a field the family
+        does not read, a malformed value, or a complete value other than
+        1/true/yes/0/false/no (any case).
         """
         fields: dict[str, object] = {}
+        keys: dict[str, str] = {}  # field name -> key as written
         for part in text.split(","):
             part = part.strip()
             if not part:
@@ -87,6 +91,7 @@ class GeneratorSpec:
             name = "epsilon" if key == "eps" else key
             if name in fields:
                 raise ValueError(f"repeated generator field {key!r}")
+            keys[name] = key
             try:
                 if name == "family":
                     fields[name] = value
@@ -105,10 +110,13 @@ class GeneratorSpec:
                 raise ValueError(f"bad generator field {part!r}: {exc}") from None
         if "family" not in fields or "n" not in fields:
             raise ValueError("generator spec needs at least family=... and n=...")
-        spec = cls(**fields)  # type: ignore[arg-type]
-        if spec.family not in cls.FAMILIES:
-            raise ValueError(f"unknown family {spec.family!r}; choose from {cls.FAMILIES}")
-        return spec
+        family = fields["family"]
+        if family not in cls.FAMILIES:
+            raise ValueError(f"unknown family {family!r}; choose from {tuple(cls.FAMILIES)}")
+        for name, key in keys.items():
+            if name not in ("family", "n", *cls.FAMILIES[family]):
+                raise ValueError(f"generator field {key!r} does not apply to family {family!r}")
+        return cls(**fields)  # type: ignore[arg-type]
 
     def canonical(self) -> str:
         parts = [f"family={self.family}", f"n={self.n}"]
@@ -261,7 +269,7 @@ def sparsify_k_nearest(inst: Instance, k: int) -> Instance:
 
 
 def write_instance(inst: Instance, path: str, comments: tuple[str, ...] = ()) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for comment in comments:
             fh.write(f"# {comment}\n")
         fh.write(f"{inst.n} {inst.m}\n")
@@ -269,18 +277,27 @@ def write_instance(inst: Instance, path: str, comments: tuple[str, ...] = ()) ->
             fh.write(f"{u} {v} {c:.17g}\n")
 
 
+# the readers decode with errors="surrogateescape", which maps each byte that is
+# not UTF-8 to one of these lone surrogates, so that the error can name its
+# line: a strict decoder fails while reading ahead of the line being parsed
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
+
+
 def read_instance(path: str) -> Instance:
     """Parse and validate an instance file; errors carry 1-based line numbers.
 
     Edges reach Instance.from_edges as they are parsed, so an error it raises
     while validating an edge names that edge's line; the edge count and the
-    connectivity check name only the file.
+    connectivity check name only the file.  A header promising fewer than
+    n - 1 edges is rejected before anything of size n is built.
     """
     lineno: int | None = None  # data line being parsed or validated, if any
 
     def data_lines(fh):
         nonlocal lineno
         for lineno, raw in enumerate(fh, 1):
+            if _NOT_UTF8.search(raw):
+                raise InstanceError("not UTF-8 text")
             line = raw.strip()
             if line and not line.startswith("#"):
                 yield line.split()
@@ -301,7 +318,7 @@ def read_instance(path: str) -> Instance:
             raise InstanceError(f"header promises {m} edges, found {count}")
 
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             lines = data_lines(fh)
             header = next(lines, None)
             if header is None:
@@ -312,6 +329,10 @@ def read_instance(path: str) -> Instance:
                 n, m = int(header[0]), int(header[1])
             except ValueError:
                 raise InstanceError("non-integer header") from None
+            if m < n - 1:
+                raise InstanceError(
+                    f"instance not connected: header promises {m} edges for {n} vertices"
+                )
             return Instance.from_edges(n, edges(lines, m))
     except InstanceError as exc:
         where = path if lineno is None else f"{path}:{lineno}"
@@ -333,8 +354,10 @@ def read_assignment(path: str, n: int) -> PowerAssignment:
     """
     levels = [0.0] * n
     seen: set[int] = set()
-    with open(path) as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, 1):
+            if _NOT_UTF8.search(raw):
+                raise InstanceError(f"{path}:{lineno}: not UTF-8 text")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

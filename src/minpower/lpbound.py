@@ -10,8 +10,8 @@ Rather than shipping the exponentially many cut rows (or the equivalent large
 flow formulation) up front, a restricted master over all canonical stars is
 solved by a small dense simplex, resumed from the previous round's optimal
 basis after each new cut, and violated cuts are found on demand by
-max-flow in a star-expanded network, fixing vertex 0 as the root and running
-both flow directions to every other vertex.
+shortest-augmenting-path max-flow in a star-expanded network, fixing vertex 0
+as the root and running both flow directions to every other vertex.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from minpower.stars import Star, enumerate_stars, star_at
 _FEAS_TOL = 1e-9  # simplex pivot / feasibility
 _CUT_TOL = 1e-7  # cut violation threshold
 _VALUE_TOL = 1e-6  # reported-value agreement
+_MAX_ROUNDS = 10_000  # cut rounds before lp_lower_bound gives up
 
 StarKey = tuple[int, float]  # (center, radius)
 
@@ -65,9 +66,10 @@ def cut_load(stars: Iterable[tuple[Star, float]], subset: frozenset[int] | set[i
     return float(sum(w for star, w in stars if enters_cut(star, subset)))
 
 
-class _Dinic:
+class _FlowNetwork:
+    """Residual network for Edmonds-Karp max-flow; arc e's reverse is e ^ 1."""
+
     def __init__(self, n: int):
-        self.n = n
         self.head: list[list[int]] = [[] for _ in range(n)]
         self.to: list[int] = []
         self.cap: list[float] = []
@@ -80,57 +82,37 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(0.0)
 
-    def max_flow(self, s: int, t: int) -> float:
+    def max_flow(self, s: int, t: int) -> tuple[float, set[int]]:
+        """Push the bottleneck of a shortest augmenting path until none is left.
+
+        Arcs with residual capacity at most _FEAS_TOL count as saturated.  The
+        search that fails to reach t has reached exactly the source side of a
+        minimum cut, which is returned with the flow value.
+        """
         flow = 0.0
         while True:
-            level = [-1] * self.n
-            level[s] = 0
+            via = {s: -1}  # node -> arc that first reached it
             queue = [s]
-            qi = 0
-            while qi < len(queue):
-                u = queue[qi]
-                qi += 1
+            for u in queue:
                 for e in self.head[u]:
                     v = self.to[e]
-                    if level[v] < 0 and self.cap[e] > _FEAS_TOL:
-                        level[v] = level[u] + 1
+                    if v not in via and self.cap[e] > _FEAS_TOL:
+                        via[v] = e
                         queue.append(v)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-
-            def dfs(u: int, pushed: float) -> float:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > _FEAS_TOL and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got > 0.0:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0.0
-
-            while True:
-                pushed = dfs(s, float("inf"))
-                if pushed <= 0.0:
+                if t in via:
                     break
-                flow += pushed
-
-    def source_side(self, s: int) -> set[int]:
-        seen = {s}
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for e in self.head[u]:
-                v = self.to[e]
-                if v not in seen and self.cap[e] > _FEAS_TOL:
-                    seen.add(v)
-                    stack.append(v)
-        return seen
+            else:
+                return flow, set(via)
+            path = []
+            v = t
+            while v != s:
+                path.append(via[v])
+                v = self.to[via[v] ^ 1]
+            pushed = min(self.cap[e] for e in path)
+            for e in path:
+                self.cap[e] -= pushed
+                self.cap[e ^ 1] += pushed
+            flow += pushed
 
 
 def _support(inst: Instance, weights: Mapping[StarKey, float]) -> list[tuple[Star, float]]:
@@ -162,7 +144,7 @@ def most_violated_cut(
     max_y = max((w for _, w in support), default=0.0)
     inf_cap = n * max_y + 1.0  # exceeds 1, so never part of a violated cut
 
-    net = _Dinic(n + len(support))
+    net = _FlowNetwork(n + len(support))
     for i, (star, w) in enumerate(support):
         net.add_edge(star.center, n + i, w)
         for leaf in sorted(star.leaves):
@@ -173,10 +155,9 @@ def most_violated_cut(
     for t in range(1, n):
         for s, sink in ((0, t), (t, 0)):
             net.cap[:] = capacities
-            value = net.max_flow(s, sink)
+            value, side = net.max_flow(s, sink)
             if value >= 1.0 - tol:
                 continue
-            side = net.source_side(s)
             subset = frozenset(v for v in range(n) if v not in side)
             load = cut_load(support, subset)
             if abs(load - value) > _VALUE_TOL:
@@ -276,7 +257,7 @@ def check_cut_tolerance(tol: float) -> None:
         raise ValueError(f"cut tolerance {tol!r} is outside [0, {_VALUE_TOL:g}]")
 
 
-def lp_lower_bound(inst: Instance, tol: float = _CUT_TOL, max_rounds: int = 10_000) -> FractionalSolution:
+def lp_lower_bound(inst: Instance, tol: float = _CUT_TOL) -> FractionalSolution:
     """Optimum of the fractional star-cover relaxation, certified by separation.
 
     Seeds the master with the singleton cuts in both directions (every vertex
@@ -295,27 +276,29 @@ def lp_lower_bound(inst: Instance, tol: float = _CUT_TOL, max_rounds: int = 10_0
     master = _Master(costs)
     seen_rows: set[frozenset[int]] = set()
 
-    def add_row(members: frozenset[int]) -> bool:
+    def add_cut(subset: frozenset[int]) -> bool:
+        """Add the row of the stars entering subset, unless the master has it."""
+        members = frozenset(j for j, s in enumerate(stars) if enters_cut(s, subset))
         if members in seen_rows:
             return False
         seen_rows.add(members)
         master.add_row(members)
         return True
 
+    everyone = frozenset(range(n))
     for v in range(n):
-        add_row(frozenset(j for j, s in enumerate(stars) if s.center != v and v in s.leaves))
-        add_row(frozenset(j for j, s in enumerate(stars) if s.center == v))
+        add_cut(frozenset((v,)))
+        add_cut(everyone - {v})
 
-    for round_no in range(1, max_rounds + 1):
+    for round_no in range(1, _MAX_ROUNDS + 1):
         y, value = master.solve()
         weights = {keys[j]: float(y[j]) for j in range(len(stars)) if y[j] > 1e-12}
         violation = most_violated_cut(inst, weights, tol)
         if violation is None:
             return FractionalSolution(weights, value, round_no, len(seen_rows), master.pivots)
-        members = frozenset(j for j, s in enumerate(stars) if enters_cut(s, violation.subset))
-        if not add_row(members):
+        if not add_cut(violation.subset):
             raise LpError(
                 f"separation returned an existing constraint (load {violation.load}); "
                 "tolerance ladder is inconsistent"
             )
-    raise LpError(f"no convergence after {max_rounds} cut rounds")
+    raise LpError(f"no convergence after {_MAX_ROUNDS} cut rounds")

@@ -23,8 +23,9 @@ def test_every_exported_name_resolves():
     [
         ["scripts/baseline_gap_sweep.py", "--sizes", "2,3"],
         ["scripts/ratio_experiment.py", "--count", "2", "--nmax", "5", "--lp"],
+        ["scripts/output_digest.py", "--max-n", "3"],
     ],
-    ids=["baseline_gap_sweep", "ratio_experiment"],
+    ids=["baseline_gap_sweep", "ratio_experiment", "output_digest"],
 )
 def test_script_runs_on_tiny_input(argv):
     env = dict(os.environ)

@@ -87,6 +87,14 @@ class TestSolve:
     def test_missing_file_is_usage_error(self, tmp_path):
         assert main(["solve", str(tmp_path / "absent.txt")]) == 1
 
+    def test_non_utf8_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"# r\xe9seau\n2 1\n0 1 1.0\n")
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "latin1.txt:1: not UTF-8 text" in captured.err
+
     def test_records_are_deterministic(self, line_instance, tmp_path):
         out1, out2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
         assert main(["solve", str(line_instance), "--lp", "--out", str(out1)]) == 0
@@ -171,6 +179,14 @@ class TestVerify:
         assert captured.out == ""
         assert "hostile.txt:1: bad power" in captured.err
 
+    def test_non_utf8_assignment_exits_1(self, line_instance, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"0 1.0\n1 \xb5\n")
+        assert main(["verify", str(line_instance), str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "latin1.txt:2: not UTF-8 text" in captured.err
+
     def test_duplicate_vertex_exits_1(self, line_instance, tmp_path, capsys):
         path = tmp_path / "dup.txt"
         path.write_text("".join(f"{v} 100\n" for v in range(10)) + "4 100\n")
@@ -240,6 +256,8 @@ class TestBench:
 HOSTILE_SPECS = [
     "family=random-geometric,n=5,n=9,seed=1,seed=2",
     "family=random-geometric,n=6,complete=flase",
+    "family=line,n=3,kappa=7",
+    "family=polygon,n=3,seed=5",
 ]
 
 

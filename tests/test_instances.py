@@ -1,7 +1,16 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from minpower.exact import verify_assignment
-from minpower.graph import InstanceError, bidirect, minimum_spanning_tree, power_of
+from minpower.graph import (
+    Instance,
+    InstanceError,
+    PowerAssignment,
+    bidirect,
+    minimum_spanning_tree,
+    power_of,
+)
 from minpower.instances import (
     GeneratorSpec,
     SplitMix64,
@@ -187,6 +196,24 @@ class TestFileRoundTrip:
         with pytest.raises(InstanceError, match="promises 3"):
             read_instance(str(path))
 
+    def test_header_with_too_few_edges_names_both_counts(self, tmp_path):
+        path = tmp_path / "few.txt"
+        path.write_text("# sparse\n200000 0\n")
+        with pytest.raises(InstanceError, match=r"few\.txt:2: .*promises 0 edges for 200000 vertices"):
+            read_instance(str(path))
+
+    def test_non_utf8_instance_names_line(self, tmp_path):
+        path = tmp_path / "bytes.txt"
+        path.write_bytes(b"3 2\n0 1 1.0\n# caf\xe9\n1 2 1.0\n")
+        with pytest.raises(InstanceError, match=r"bytes\.txt:3: not UTF-8"):
+            read_instance(str(path))
+
+    def test_non_utf8_assignment_names_line(self, tmp_path):
+        path = tmp_path / "bytes.asg"
+        path.write_bytes(b"0 1.0\n1 \xff\n")
+        with pytest.raises(InstanceError, match=r"bytes\.asg:2: not UTF-8"):
+            read_assignment(str(path), 3)
+
 
 class TestGeneratorSpec:
     def test_parse_line(self):
@@ -236,7 +263,102 @@ class TestGeneratorSpec:
         spec = GeneratorSpec.parse(f"family=random-geometric,n=6,complete={value}")
         assert spec.complete is expected
 
+    @pytest.mark.parametrize(
+        "text, key, family",
+        [
+            ("family=line,n=3,kappa=7", "kappa", "line"),
+            ("family=line,n=3,seed=1", "seed", "line"),
+            ("family=line,n=3,complete=false", "complete", "line"),
+            ("family=polygon,n=3,seed=5", "seed", "polygon"),
+            ("family=polygon,n=3,eps=0.5", "eps", "polygon"),
+            ("family=random-geometric,n=6,epsilon=0.5", "epsilon", "random-geometric"),
+        ],
+    )
+    def test_field_the_family_does_not_read_rejected(self, text, key, family):
+        with pytest.raises(ValueError, match=f"field '{key}' does not apply to family '{family}'"):
+            GeneratorSpec.parse(text)
+
     def test_polygon_build_has_witness(self):
         inst, witness = GeneratorSpec.parse("family=polygon,n=2").build()
         assert witness is not None
         assert verify_assignment(inst, witness)
+
+
+@st.composite
+def instances(draw):
+    """Connected instances: a random spanning tree plus extra edges, any finite
+    non-negative costs."""
+    n = draw(st.integers(1, 7))
+    pairs = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    pairs |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=8)))
+    pairs = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    costs = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+    return Instance.from_edges(n, [(u, v, draw(costs)) for u, v in pairs])
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "file.txt"
+
+
+# file lines are built from small numbers, which well-formed files are made of,
+# and hostile fields: out-of-range or non-finite values, comment marks, control
+# characters and bytes that are not UTF-8 (a lone 0xff, an encoded surrogate)
+FIELDS = [b"0", b"1", b"2", b"0.5"] * 4 + [
+    b"-1", b"1e400", b"nan", b"inf", b"99999999999", b"#", b"\x00", b"\r", b"\t", b"\xff",
+    b"\xc3\xa9", b"\xed\xa0\x80",
+]
+file_lines = st.lists(st.lists(st.sampled_from(FIELDS), max_size=4).map(b" ".join), max_size=6)
+
+
+@st.composite
+def spliced_files(draw):
+    """A valid instance file with a span of it replaced by one field."""
+    inst = draw(instances())
+    text = f"{inst.n} {inst.m}\n" + "".join(f"{u} {v} {c!r}\n" for u, v, c in inst.edges)
+    data = text.encode()
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + draw(st.sampled_from(FIELDS)) + data[at + draw(st.integers(0, 3)) :]
+
+
+file_bytes = st.one_of(st.binary(max_size=64), file_lines.map(b"\n".join), spliced_files())
+
+
+class TestParserFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(inst=instances())
+    def test_instance_roundtrip_is_bit_exact(self, scratch_file, inst):
+        write_instance(inst, str(scratch_file), comments=("generator: fuzz",))
+        again = read_instance(str(scratch_file))
+        assert again == inst
+        assert [c.hex() for _, _, c in again.edges] == [c.hex() for _, _, c in inst.edges]
+
+    @settings(max_examples=150, deadline=None)
+    @given(levels=st.lists(st.floats(min_value=0.0, allow_nan=False, allow_infinity=False), max_size=8))
+    def test_assignment_roundtrip_is_bit_exact(self, scratch_file, levels):
+        write_assignment(PowerAssignment(tuple(levels)), str(scratch_file))
+        again = read_assignment(str(scratch_file), len(levels))
+        assert [p.hex() for p in again.levels] == [p.hex() for p in levels]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=file_bytes)
+    def test_instance_reader_accepts_or_raises_instance_error(self, scratch_file, data):
+        scratch_file.write_bytes(data)
+        try:
+            inst = read_instance(str(scratch_file))
+        except InstanceError as exc:
+            assert str(exc).startswith(f"{scratch_file}:")
+        else:
+            assert Instance.from_edges(inst.n, inst.edges) == inst
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=file_bytes, n=st.integers(0, 4))
+    def test_assignment_reader_accepts_or_raises_instance_error(self, scratch_file, data, n):
+        scratch_file.write_bytes(data)
+        try:
+            assignment = read_assignment(str(scratch_file), n)
+        except InstanceError as exc:
+            assert str(exc).startswith(f"{scratch_file}:")
+        else:
+            assert len(assignment.levels) == n
+            assert all(0.0 <= p < float("inf") for p in assignment.levels)

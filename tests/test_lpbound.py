@@ -186,6 +186,63 @@ class TestSeparation:
                 assert violation is None
 
 
+def random_network(rng):
+    """Arcs (u, v, capacity) on at most 9 nodes: general networks with
+    antiparallel arcs and zero capacities, or the star-shaped networks that
+    separation builds (vertex -> star node -> leaves, the last effectively
+    uncapacitated)."""
+    if rng.random() < 0.5:
+        n = rng.randint(2, 9)
+        arcs = []
+        for u, v in itertools.permutations(range(n), 2):
+            if rng.random() < 0.4:
+                arcs.append((u, v, 0.0 if rng.random() < 0.2 else rng.uniform(0.01, 2.0)))
+        return n, arcs
+    vertices = rng.randint(2, 5)
+    stars = rng.randint(1, 9 - vertices)
+    arcs = []
+    for k in range(stars):
+        center = rng.randrange(vertices)
+        arcs.append((center, vertices + k, 0.0 if rng.random() < 0.2 else rng.uniform(0.01, 1.0)))
+        others = [v for v in range(vertices) if v != center]
+        for leaf in rng.sample(others, rng.randint(1, len(others))):
+            arcs.append((vertices + k, leaf, vertices + 1.0))
+    return vertices + stars, arcs
+
+
+def cut_capacity(arcs, side):
+    return sum(c for u, v, c in arcs if u in side and v not in side)
+
+
+def brute_force_min_cut(n, arcs, s, t):
+    others = [v for v in range(n) if v not in (s, t)]
+    return min(
+        cut_capacity(arcs, {s, *extra})
+        for r in range(len(others) + 1)
+        for extra in itertools.combinations(others, r)
+    )
+
+
+class TestFlowNetwork:
+    """The separation's max-flow against a brute-force minimum s-t cut."""
+
+    def test_value_and_cut_match_brute_force(self):
+        rng = random.Random(211)
+        for _ in range(400):
+            n, arcs = random_network(rng)
+            net = lpbound._FlowNetwork(n)
+            for u, v, c in arcs:
+                net.add_edge(u, v, c)
+            capacities = net.cap[:]
+            s, t = rng.sample(range(n), 2)
+            value, side = net.max_flow(s, t)
+            assert value == pytest.approx(brute_force_min_cut(n, arcs, s, t), abs=1e-9)
+            assert s in side and t not in side
+            assert cut_capacity(arcs, side) == pytest.approx(value, abs=1e-9)
+            net.cap[:] = capacities
+            assert net.max_flow(s, t) == (value, side)
+
+
 class TestCrossingStarPairs:
     def test_tree_edge_fact_pair(self):
         # for each tree edge, the two stars grown from its endpoints with the
