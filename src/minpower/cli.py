@@ -55,6 +55,7 @@ class RunReport:
     certificate_failures: list[str]
     exact_status: str | None = None
     exact_opt: float | None = None
+    exact_limit: str | None = None
     lp_value: float | None = None
     lp_rounds: int | None = None
     lp_pivots: int | None = None
@@ -63,7 +64,7 @@ class RunReport:
 
     # fields only the table view shows, so records stay free of wall-clock
     # time and keep their bytes
-    TABLE_ONLY = ("lp_pivots", "timings")
+    TABLE_ONLY = ("exact_limit", "lp_pivots", "timings")
 
     def record(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in self.TABLE_ONLY}
@@ -80,7 +81,8 @@ class RunReport:
             f"certificates    {'ok' if self.certificates_ok else 'FAILED: ' + ', '.join(self.certificate_failures)}",
         ]
         if self.exact_status is not None:
-            shown = f"{self.exact_opt:.6f} ({self.exact_status})" if self.exact_opt is not None else self.exact_status
+            status = self.exact_status + (f": {self.exact_limit}" if self.exact_limit else "")
+            shown = f"{self.exact_opt:.6f} ({status})" if self.exact_opt is not None else status
             lines.append(f"exact optimum   {shown}")
         if self.lp_value is not None:
             lines.append(
@@ -142,6 +144,7 @@ def _solve_instance(
             timings["exact"] = perf_counter() - t0
             report.exact_status = exact.status
             report.exact_opt = exact.opt
+            report.exact_limit = exact.limit
             if not exact.optimal and code == EXIT_OK:
                 code = EXIT_INCONCLUSIVE
 
@@ -190,6 +193,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
     try:
         spec = GeneratorSpec.parse(args.spec)
         if args.seed is not None:
+            if "seed" not in GeneratorSpec.FAMILIES[spec.family]:
+                raise ValueError(f"--seed does not apply to family {spec.family!r}")
             spec = replace(spec, seed=args.seed)
         inst, witness = spec.build()
     except (ValueError, InstanceError) as exc:

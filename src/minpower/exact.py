@@ -38,6 +38,7 @@ class ExactResult:
     assignment: PowerAssignment
     nodes: int
     elapsed: float
+    limit: str | None = None  # the SearchLimits field that stopped an inconclusive search
 
     @property
     def optimal(self) -> bool:
@@ -84,25 +85,17 @@ def _induced_strongly_connected(inst: Instance, p: list[float]) -> bool:
     return count == n
 
 
-def exact_optimum(
-    inst: Instance,
-    limits: SearchLimits | None = None,
-    extra_incumbents: tuple[PowerAssignment, ...] = (),
-) -> ExactResult:
+def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactResult:
     """Minimum total power with a verifying witness assignment.
 
     Vertices are assigned in decreasing-degree order, levels are tried from
     high to low, and a branch is cut once its committed power plus the minimum
-    completion cannot beat the incumbent.  extra_incumbents lets callers seed
-    additional known-feasible assignments; each is verified before use.
+    completion cannot beat the incumbent.
     """
     limits = limits or SearchLimits()
     n = inst.n
     if n > limits.max_vertices:
         raise ValueError(f"instance has {n} vertices, limit is {limits.max_vertices}")
-    for extra in extra_incumbents:
-        if len(extra) != n:
-            raise ValueError(f"extra incumbent has {len(extra)} levels, instance has {n} vertices")
     if n == 1:
         return ExactResult("optimal", 0.0, PowerAssignment((0.0,)), 0, 0.0)
 
@@ -118,26 +111,21 @@ def exact_optimum(
     incumbent = greedy_solve(inst)
     best = incumbent.total_power
     best_assign = list(incumbent.powers.levels)
-    for extra in extra_incumbents:
-        if not verify_assignment(inst, extra):
-            raise ValueError("extra incumbent is not strongly connected")
-        if extra.total < best:
-            best = extra.total
-            best_assign = list(extra.levels)
 
     p = [0.0] * n
     nodes = 0
-    aborted = False
+    limit: str | None = None
 
     def dfs(i: int, partial: float) -> None:
-        nonlocal nodes, best, best_assign, aborted
+        nonlocal nodes, best, best_assign, limit
         nodes += 1
-        if aborted:
+        if limit is not None:
             return
-        if nodes > limits.max_nodes or (
-            nodes % 4096 == 0 and perf_counter() - start > limits.time_budget
-        ):
-            aborted = True
+        if nodes > limits.max_nodes:
+            limit = "max_nodes"
+            return
+        if nodes % 4096 == 0 and perf_counter() - start > limits.time_budget:
+            limit = "time_budget"
             return
         if partial + suffix_min[i] >= best:
             return
@@ -154,13 +142,15 @@ def exact_optimum(
                 continue
             p[v] = lev
             dfs(i + 1, partial + lev)
-            if aborted:
+            if limit is not None:
                 return
         p[v] = 0.0
 
     dfs(0, 0.0)
-    status = "inconclusive" if aborted else "optimal"
-    return ExactResult(status, best, PowerAssignment(tuple(best_assign)), nodes, perf_counter() - start)
+    status = "optimal" if limit is None else "inconclusive"
+    return ExactResult(
+        status, best, PowerAssignment(tuple(best_assign)), nodes, perf_counter() - start, limit
+    )
 
 
 def brute_force_optimum(inst: Instance) -> tuple[float, PowerAssignment]:

@@ -7,11 +7,12 @@ between the spanning-tree cost and the integral optimum, and the greedy output
 is within the same 1.85 factor of it.
 
 Rather than shipping the exponentially many cut rows (or the equivalent large
-flow formulation) up front, a restricted master over all canonical stars is
-solved by a small dense simplex, resumed from the previous round's optimal
-basis after each new cut, and violated cuts are found on demand by
-shortest-augmenting-path max-flow in a star-expanded network, fixing vertex 0
-as the root and running both flow directions to every other vertex.
+flow formulation) up front, a restricted master over all canonical stars keeps
+the cut rows it has as an explicit 0/1 matrix and is solved by a revised dual
+simplex whose basis is as large as the cut set, resumed from the previous
+round's optimal basis after each new cut.  Violated cuts are found on demand
+by shortest-augmenting-path max-flow in a star-expanded network, fixing vertex
+0 as the root and running both flow directions to every other vertex.
 """
 
 from __future__ import annotations
@@ -172,78 +173,61 @@ def most_violated_cut(
 class _Master:
     """The restricted master, kept optimal from one cut round to the next.
 
-    Minimize costs . y over y >= 0 with the sum of y over each row's stars at
-    least 1, solved as the dual maximization: one variable per row, one
-    constraint per star, so the all-slack basis is feasible from the start.
-    The tableau has a row per star plus the objective row, and its columns are
-    the star slacks followed by the rows in the order they were added.  The
-    slack block is B^-1, so a new row a enters as the column B^-1 a at value 0:
-    the previous optimal basis stays feasible and solve() resumes from it.
-    Bland's rule picks pivots, which rules out cycling; the primal weights are
-    read off the slack columns' reduced costs at optimality.
+    Minimize costs . y over y >= 0 with cuts @ y >= 1, where cuts holds one 0/1
+    row per cut (its entering stars) and column j is star j.  Variable j <
+    nstars is star j and nstars + i is row i's surplus; the basis holds one
+    variable per row, and each pivot factors the rows x rows basis afresh.
+    The dual simplex keeps every reduced cost c - pi [A | -I] nonnegative and
+    drives out a negative basic value.  A new row enters with its surplus basic,
+    which leaves the reduced costs as they were, so solve() resumes from the
+    previous optimal basis.  The smallest-index negative basic variable
+    leaves and the smallest index among ratio-test ties enters: Bland's rule
+    on the complementary dual basis, which rules out cycling.
     """
 
     def __init__(self, costs: np.ndarray):
-        nstars = len(costs)
         self.costs = costs
-        self.nstars = nstars
-        self.ncols = nstars
-        # the capacity for row columns doubles as rows arrive; the last tableau
-        # row is the objective row of reduced costs
-        self.tableau = np.zeros((nstars + 1, nstars + 16))
-        self.tableau[:nstars, :nstars] = np.eye(nstars)
-        self.rhs = costs.astype(float)
-        self.basis = np.arange(nstars)
+        self.cuts = np.zeros((0, len(costs)))
+        self.basis: list[int] = []
         self.pivots = 0
 
-    def add_row(self, members: Iterable[int]) -> None:
-        if self.ncols == self.tableau.shape[1]:
-            grown = np.zeros((self.nstars + 1, 2 * self.ncols - self.nstars))
-            grown[:, : self.ncols] = self.tableau
-            self.tableau = grown
-        a = np.zeros(self.nstars)
-        a[list(members)] = 1.0
-        col = self.tableau[:, : self.nstars] @ a  # B^-1 a, and y . a
-        col[-1] -= 1.0  # the new dual variable's objective coefficient
-        self.tableau[:, self.ncols] = col
-        self.ncols += 1
+    def add_row(self, row: np.ndarray) -> None:
+        self.basis.append(len(self.costs) + len(self.basis))
+        self.cuts = np.vstack([self.cuts, row])
 
     def solve(self) -> tuple[np.ndarray, float]:
-        nstars = self.nstars
-        tableau = self.tableau[:, : self.ncols]
-        rhs = self.rhs
-        basis = self.basis
-        pivot_cap = 200 * self.ncols
+        m, nstars = self.cuts.shape
+        full = np.hstack([self.cuts, -np.eye(m)])  # [A | -I]: stars, then surpluses
+        cost = np.concatenate([self.costs, np.zeros(m)])
+        pivot_cap = 200 * (nstars + m)
         for _ in range(pivot_cap):
-            improving = np.flatnonzero(tableau[-1] < -_FEAS_TOL)
-            if improving.size == 0:
+            basis = np.array(self.basis)
+            try:
+                binv = np.linalg.inv(full[:, basis])
+            except np.linalg.LinAlgError:
+                raise LpError("singular basis in restricted master") from None
+            x = binv.sum(axis=1)  # B^-1 1
+            pi = cost[basis] @ binv
+            negative = np.flatnonzero(x < -_FEAS_TOL)
+            if negative.size == 0:
                 break
-            entering = improving[0]  # Bland: smallest improving index
-            col = tableau[:nstars, entering]
-            candidates = np.flatnonzero(col > _FEAS_TOL)
+            leave = negative[np.argmin(basis[negative])]  # Bland: smallest index
+            alpha = binv[leave] @ full
+            alpha[basis] = 0.0  # only nonbasic variables may enter
+            candidates = np.flatnonzero(alpha < -_FEAS_TOL)
             if candidates.size == 0:
-                raise LpError("restricted master is unbounded; cut rows are inconsistent")
-            ratios = rhs[candidates] / col[candidates]
-            ties = candidates[ratios <= ratios.min() + _FEAS_TOL]
-            leave = ties[np.argmin(basis[ties])]  # Bland: smallest basic index among ratio ties
-            pivot_col = tableau[:, entering].copy()
-            tableau[leave] /= pivot_col[leave]
-            rhs[leave] /= pivot_col[leave]
-            pivot_col[leave] = 0.0
-            # about a third of the rows at n = 20; blocks of 64 rows keep the
-            # rank-one update's temporaries small
-            touched = np.flatnonzero(pivot_col)
-            for block in np.array_split(touched, len(touched) // 64 + 1):
-                tableau[block] -= np.outer(pivot_col[block], tableau[leave])
-            rhs -= pivot_col[:nstars] * rhs[leave]
-            basis[leave] = entering
+                raise LpError("restricted master is infeasible; cut rows are inconsistent")
+            ratios = (cost[candidates] - pi @ full[:, candidates]) / -alpha[candidates]
+            # Bland: smallest index among ratio ties
+            self.basis[leave] = int(candidates[ratios <= ratios.min() + _FEAS_TOL][0])
             self.pivots += 1
         else:
             raise LpError(f"simplex exceeded {pivot_cap} pivots; conditioning problem")
 
-        cb = (basis >= nstars).astype(float)
-        value = float(cb @ rhs)
-        y = np.maximum(cb @ tableau[:nstars, :nstars], 0.0)
+        values = np.zeros(nstars + m)
+        values[basis] = np.maximum(x, 0.0)
+        y = values[:nstars]
+        value = float(pi.sum())
         primal_value = float(self.costs @ y)
         if abs(primal_value - value) > _VALUE_TOL * max(1.0, abs(value)):
             raise LpError(f"duality gap {primal_value} vs {value} in restricted master")
@@ -273,16 +257,23 @@ def lp_lower_bound(inst: Instance, tol: float = _CUT_TOL) -> FractionalSolution:
         return FractionalSolution({}, 0.0, 0, 0, 0)
     costs = np.array([s.radius for s in stars])
     keys = [(s.center, s.radius) for s in stars]
+    centers = np.array([s.center for s in stars])
+    leaf = np.zeros((len(stars), n), dtype=bool)  # leaf[j, v]: v is a leaf of star j
+    for j, s in enumerate(stars):
+        leaf[j, list(s.leaves)] = True
     master = _Master(costs)
-    seen_rows: set[frozenset[int]] = set()
+    seen_rows: set[bytes] = set()
 
     def add_cut(subset: frozenset[int]) -> bool:
         """Add the row of the stars entering subset, unless the master has it."""
-        members = frozenset(j for j, s in enumerate(stars) if enters_cut(s, subset))
-        if members in seen_rows:
+        inside = np.zeros(n, dtype=bool)
+        inside[list(subset)] = True
+        row = leaf[:, inside].any(1) & ~inside[centers]
+        key = row.tobytes()
+        if key in seen_rows:
             return False
-        seen_rows.add(members)
-        master.add_row(members)
+        seen_rows.add(key)
+        master.add_row(row)
         return True
 
     everyone = frozenset(range(n))

@@ -36,3 +36,14 @@ def test_script_runs_on_tiny_input(argv):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_greedy_digest_is_pinned(monkeypatch):
+    # every greedy trace entry and total on the 60-instance corpus, as float
+    # hex; a change to the greedy's output, however small, moves this digest
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from output_digest import GREEDY_SPECS, digest, greedy_lines
+
+    specs = [minpower.GeneratorSpec.parse(text) for text in GREEDY_SPECS]
+    assert len(specs) == 60
+    assert digest(specs, greedy_lines) == "a00cefe9d1d3f340"

@@ -1,9 +1,12 @@
+import functools
 import json
 import re
 
 import pytest
 
+from minpower import cli
 from minpower.cli import main
+from minpower.exact import SearchLimits
 
 
 @pytest.fixture()
@@ -37,6 +40,13 @@ class TestGen:
         code = main(["gen", "family=nope,n=3", "--out", str(tmp_path / "x.txt")])
         assert code == 1
         assert "unknown family" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family", ["line", "polygon"])
+    def test_seed_on_family_without_one_exits_1(self, tmp_path, capsys, family):
+        out = tmp_path / "x.txt"
+        assert main(["gen", f"family={family},n=3", "--seed", "5", "--out", str(out)]) == 1
+        assert f"--seed does not apply to family '{family}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSolve:
@@ -116,6 +126,20 @@ class TestSolve:
         record = json.loads(capsys.readouterr().out)
         assert record["lp_rounds"] > 0
         assert not any("pivot" in key for key in record)
+
+    def test_table_names_the_tripped_limit_records_do_not(self, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "r8.txt"
+        assert main(["gen", "family=random-geometric,n=8,kappa=2,seed=5", "--out", str(path)]) == 0
+        monkeypatch.setattr(cli, "SearchLimits", functools.partial(SearchLimits, max_nodes=3))
+        capsys.readouterr()
+        assert main(["solve", str(path), "--exact", "--format", "table"]) == 3
+        out = capsys.readouterr().out
+        line = next(x for x in out.splitlines() if x.startswith("exact optimum"))
+        assert re.fullmatch(r"exact optimum +[0-9.]+ \(inconclusive: max_nodes\)", line)
+        assert main(["solve", str(path), "--exact"]) == 3
+        record = json.loads(capsys.readouterr().out)
+        assert record["exact_status"] == "inconclusive"
+        assert not any("limit" in key for key in record)
 
 
 class TestTolerance:

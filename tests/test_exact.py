@@ -51,21 +51,13 @@ class TestExactOptimum:
         assert full.optimal
         assert res.opt >= full.opt
 
-    def test_extra_incumbent_must_be_feasible(self):
-        inst = triangle()
-        with pytest.raises(ValueError, match="incumbent"):
-            exact_optimum(inst, extra_incumbents=(PowerAssignment((0.0, 0.0, 0.0)),))
-
-    def test_short_extra_incumbent_rejected(self):
-        short = PowerAssignment((5.0, 5.0))
-        with pytest.raises(ValueError, match="has 2 levels.* 3 vertices"):
-            exact_optimum(triangle(), extra_incumbents=(short,))
-
-    def test_long_extra_incumbent_rejected(self):
-        # the first three levels alone verify, so only the length check stops it
-        long = PowerAssignment((5.0, 5.0, 5.0, 0.0))
-        with pytest.raises(ValueError, match="has 4 levels.* 3 vertices"):
-            exact_optimum(triangle(), extra_incumbents=(long,))
+    def test_inconclusive_names_its_limit(self):
+        inst = gen_random_geometric(8, 2.0, 5)
+        assert exact_optimum(inst, SearchLimits(max_nodes=3)).limit == "max_nodes"
+        assert exact_optimum(inst).limit is None
+        # the clock is read every 4096 nodes, and this search needs more
+        res = exact_optimum(gen_random_geometric(9, 2.0, 1), SearchLimits(time_budget=1e-9))
+        assert (res.status, res.limit) == ("inconclusive", "time_budget")
 
     def test_witness_always_verifies(self):
         rng = random.Random(61)

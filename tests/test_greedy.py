@@ -294,3 +294,29 @@ class TestCostScaling:
                 ]
                 assert got.total_power == sol.total_power * factor
                 assert lp_lower_bound(other).value == pytest.approx(value * factor, rel=1e-9)
+
+
+class TestRelabeling:
+    """Renaming the vertices of an instance whose costs are pairwise distinct
+    leaves the greedy total, the LP bound and the exact optimum unchanged up
+    to summation order; the LP sees its star columns in a new order."""
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0, 4.0])
+    def test_permuted_ids_keep_every_value(self, kappa):
+        rng = random.Random(int(kappa) * 104729)
+        for n in (8, 9, 10, 12, 14):
+            complete = rng.random() < 0.5
+            inst = gen_random_geometric(n, kappa, rng.randrange(10**6), complete=complete)
+            costs = [c for _, _, c in inst.edges]
+            assert len(set(costs)) == len(costs)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            other = Instance.from_edges(n, [(perm[u], perm[v], c) for u, v, c in inst.edges])
+            assert greedy_solve(other).total_power == pytest.approx(
+                greedy_solve(inst).total_power, rel=1e-12
+            )
+            value = lp_lower_bound(inst).value
+            assert lp_lower_bound(other).value == pytest.approx(value, abs=1e-9)
+            if n <= 9:
+                opt = exact_optimum(inst).opt
+                assert exact_optimum(other).opt == pytest.approx(opt, rel=1e-12)

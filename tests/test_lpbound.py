@@ -103,15 +103,16 @@ class TestWarmMaster:
     """The master keeps its basis across rounds; HiGHS re-solves each row set cold."""
 
     @pytest.mark.parametrize(
-        "n,kappa,seed", [(10, 1.0, 0), (11, 2.0, 1), (12, 4.0, 2), (13, 1.0, 3), (14, 2.0, 4)]
+        "n,kappa,seed",
+        [(10, 1.0, 0), (11, 2.0, 1), (12, 4.0, 2), (13, 1.0, 3), (14, 2.0, 4), (20, 1.0, 2)],
     )
     def test_every_round_matches_highs(self, monkeypatch, n, kappa, seed):
         rows, values = [], []
         add_row, solve = lpbound._Master.add_row, lpbound._Master.solve
 
-        def recording_add_row(master, members):
-            rows.append(frozenset(members))
-            add_row(master, members)
+        def recording_add_row(master, row):
+            rows.append(frozenset(np.flatnonzero(row)))
+            add_row(master, row)
 
         def recording_solve(master):
             y, value = solve(master)
@@ -128,6 +129,53 @@ class TestWarmMaster:
         for count, value in values:
             assert value == pytest.approx(highs_master(costs, rows[:count]), abs=1e-7)
         assert frac.value == pytest.approx(highs_master(costs, rows), abs=1e-7)
+
+    @pytest.mark.parametrize("n,kappa,seed,complete", [(10, 1.0, 0, True), (12, 2.0, 3, False)])
+    def test_rows_match_enters_cut(self, monkeypatch, n, kappa, seed, complete):
+        # the master's incidence rows against enters_cut, star by star, for
+        # the seed cuts and every separated subset in the order they arrive
+        rows, separated = [], []
+        add_row, separate = lpbound._Master.add_row, lpbound.most_violated_cut
+
+        def recording_add_row(master, row):
+            rows.append(frozenset(np.flatnonzero(row).tolist()))
+            add_row(master, row)
+
+        def recording_separate(*args):
+            violation = separate(*args)
+            if violation is not None:
+                separated.append(violation.subset)
+            return violation
+
+        monkeypatch.setattr(lpbound._Master, "add_row", recording_add_row)
+        monkeypatch.setattr(lpbound, "most_violated_cut", recording_separate)
+        inst = gen_random_geometric(n, kappa, seed, complete=complete)
+        lp_lower_bound(inst)
+        stars = enumerate_stars(inst)
+        everyone = frozenset(range(n))
+        seeds = [x for v in range(n) for x in (frozenset((v,)), everyone - {v})]
+        expected = []
+        for subset in seeds + separated:
+            row = frozenset(j for j, s in enumerate(stars) if enters_cut(s, subset))
+            if row not in expected:
+                expected.append(row)
+        assert rows == expected
+
+
+class TestMasterFailures:
+    def test_singular_basis_is_lp_error(self):
+        master = lpbound._Master(np.array([1.0, 2.0]))
+        master.add_row(np.array([True, True]))
+        master.add_row(np.array([True, False]))
+        master.basis = [0, 0]  # star 0 basic in both rows
+        with pytest.raises(lpbound.LpError, match="singular basis"):
+            master.solve()
+
+    def test_row_without_stars_is_lp_error(self):
+        master = lpbound._Master(np.array([1.0, 2.0]))
+        master.add_row(np.array([False, False]))
+        with pytest.raises(lpbound.LpError, match="infeasible"):
+            master.solve()
 
 
 class TestSeparation:
