@@ -26,7 +26,7 @@ from minpower.instances import (
     write_assignment,
     write_instance,
 )
-from minpower.lpbound import FractionalSolution, LpError, check_cut_tolerance, lp_lower_bound
+from minpower.lpbound import FractionalSolution, LpError, lp_lower_bound
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -102,7 +102,6 @@ def _solve_instance(
     want_exact: bool,
     want_lp: bool,
     max_exact_n: int,
-    tol: float,
 ) -> tuple[RunReport, int]:
     timings: dict[str, float] = {}
 
@@ -152,7 +151,7 @@ def _solve_instance(
     if want_lp:
         t0 = perf_counter()
         try:
-            lp = lp_lower_bound(inst, tol)
+            lp = lp_lower_bound(inst)
         except LpError as exc:
             print(f"lp bound failed: {exc}", file=sys.stderr)
             if code == EXIT_OK:
@@ -192,20 +191,20 @@ def _read_generator_comment(path: str) -> str | None:
 def cmd_gen(args: argparse.Namespace) -> int:
     try:
         spec = GeneratorSpec.parse(args.spec)
-        if args.seed is not None:
-            if "seed" not in GeneratorSpec.FAMILIES[spec.family]:
-                raise ValueError(f"--seed does not apply to family {spec.family!r}")
-            spec = replace(spec, seed=args.seed)
         inst, witness = spec.build()
     except (ValueError, InstanceError) as exc:
         print(f"gen: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    write_instance(inst, args.out, comments=(f"generator: {spec.canonical()}",))
-    if witness is not None:
-        write_assignment(witness, args.out + ".witness")
-        print(f"wrote {args.out} and {args.out}.witness")
-    else:
-        print(f"wrote {args.out}")
+    path = args.out
+    try:
+        write_instance(inst, path, comments=(f"generator: {spec.canonical()}",))
+        if witness is not None:
+            path += ".witness"
+            write_assignment(witness, path)
+    except OSError as exc:
+        print(f"gen: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return EXIT_USAGE
+    print(f"wrote {args.out}" + (f" and {path}" if witness is not None else ""))
     return EXIT_OK
 
 
@@ -219,6 +218,17 @@ def _emit(report: RunReport, fmt: str, out_path: str | None, out_lines: list[str
         out_lines.append(report.record())
 
 
+def _write_records(command: str, path: str, lines: list[str]) -> bool:
+    """Write the records to path; on failure say so in one line and return False."""
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        print(f"{command}: cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         inst = read_instance(args.instance)
@@ -226,14 +236,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"solve: {exc}", file=sys.stderr)
         return EXIT_USAGE
     meta = _read_generator_comment(args.instance)
-    report, code = _solve_instance(
-        inst, args.instance, meta, args.exact, args.lp, args.max_exact_n, args.tol
-    )
+    report, code = _solve_instance(inst, args.instance, meta, args.exact, args.lp, args.max_exact_n)
     out_lines: list[str] = []
     _emit(report, args.format, args.out, out_lines)
-    if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(out_lines) + "\n")
+    if args.out is not None and not _write_records("solve", args.out, out_lines):
+        return EXIT_USAGE
     return code
 
 
@@ -252,15 +259,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CERT
 
 
-def _cut_tolerance(text: str) -> float:
-    try:
-        tol = float(text)
-        check_cut_tolerance(tol)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    return tol
-
-
 def _parse_seeds(text: str) -> list[int]:
     text = text.strip()
     if ":" in text:
@@ -276,6 +274,9 @@ def _parse_seeds(text: str) -> list[int]:
 def cmd_bench(args: argparse.Namespace) -> int:
     try:
         specs = [GeneratorSpec.parse(s) for s in args.spec]
+        for text in args.spec:
+            if any(part.partition("=")[0].strip().lower() == "seed" for part in text.split(",")):
+                raise ValueError(f"spec {text!r} sets seed=; --seeds supplies the seeds")
         seeds = _parse_seeds(args.seeds)
     except ValueError as exc:
         print(f"bench: {exc}", file=sys.stderr)
@@ -297,13 +298,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                 print(f"bench: {spec_i.canonical()}: {exc}", file=sys.stderr)
                 return EXIT_USAGE
             report, run_code = _solve_instance(
-                inst,
-                spec_i.canonical(),
-                spec_i.canonical(),
-                args.exact,
-                args.lp,
-                args.max_exact_n,
-                args.tol,
+                inst, spec_i.canonical(), spec_i.canonical(), args.exact, args.lp, args.max_exact_n
             )
             _emit(report, args.format, args.out, out_lines)
             count += 1
@@ -330,8 +325,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     print(summary_line)
     if args.out is not None:
         out_lines.append(summary_line)
-        with open(args.out, "w") as fh:
-            fh.write("\n".join(out_lines) + "\n")
+        if not _write_records("bench", args.out, out_lines):
+            return EXIT_USAGE
     return code
 
 
@@ -342,14 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen = sub.add_parser("gen", help="generate an instance file from a spec string")
     p_gen.add_argument("spec", help="e.g. family=line,n=20,eps=0.01")
     p_gen.add_argument("--out", required=True, help="instance file to write")
-    p_gen.add_argument("--seed", type=int, default=None, help="override the spec's seed")
     p_gen.set_defaults(func=cmd_gen)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--exact", action="store_true", help="also run the exact oracle")
     common.add_argument("--lp", action="store_true", help="also compute the LP lower bound")
     common.add_argument("--max-exact-n", type=int, default=9, metavar="K")
-    common.add_argument("--tol", type=_cut_tolerance, default=1e-7, help="LP cut tolerance, in [0, 1e-6]")
     common.add_argument("--out", default=None, help="write structured records to this file")
     common.add_argument("--format", choices=("table", "records"), default="records")
 

@@ -37,7 +37,6 @@ class ExactResult:
     opt: float
     assignment: PowerAssignment
     nodes: int
-    elapsed: float
     limit: str | None = None  # the SearchLimits field that stopped an inconclusive search
 
     @property
@@ -97,7 +96,7 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
     if n > limits.max_vertices:
         raise ValueError(f"instance has {n} vertices, limit is {limits.max_vertices}")
     if n == 1:
-        return ExactResult("optimal", 0.0, PowerAssignment((0.0,)), 0, 0.0)
+        return ExactResult("optimal", 0.0, PowerAssignment((0.0,)), 0)
 
     start = perf_counter()
     # strong connectivity needs an outgoing arc everywhere, so level 0 is only
@@ -148,9 +147,7 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
 
     dfs(0, 0.0)
     status = "optimal" if limit is None else "inconclusive"
-    return ExactResult(
-        status, best, PowerAssignment(tuple(best_assign)), nodes, perf_counter() - start, limit
-    )
+    return ExactResult(status, best, PowerAssignment(tuple(best_assign)), nodes, limit)
 
 
 def brute_force_optimum(inst: Instance) -> tuple[float, PowerAssignment]:

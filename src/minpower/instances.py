@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 from minpower.graph import Instance, InstanceError, PowerAssignment, minimum_spanning_tree
 
+_K_NEAREST = 8  # neighbors each vertex keeps in a sparse random-geometric graph
+
 
 class SplitMix64:
     """splitmix64 PRNG; fixed algorithm so instances reproduce everywhere.
@@ -148,9 +150,14 @@ def _complete_instance(points: list[tuple[float, float]], kappa: float = 2.0) ->
             dx = points[v][0] - xu
             dy = points[v][1] - yu
             d2 = dx * dx + dy * dy
-            cost = d2 if kappa == 2.0 else d2 ** (kappa / 2.0)
+            try:
+                cost = d2 if kappa == 2.0 else d2 ** (kappa / 2.0)
+            except OverflowError:
+                raise InstanceError(f"cost of edge {u}-{v} overflows at kappa={kappa!r}") from None
             if cost <= 0.0:
-                raise InstanceError(f"coincident points {u} and {v}")
+                if d2 == 0.0:
+                    raise InstanceError(f"coincident points {u} and {v}")
+                raise InstanceError(f"cost of edge {u}-{v} underflows to 0 at kappa={kappa!r}")
             edges.append((u, v, cost))
     return Instance.from_edges(n, edges)
 
@@ -246,21 +253,21 @@ def gen_random_geometric(n: int, kappa: float, seed: int, complete: bool = True)
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if kappa <= 0.0:
-        raise ValueError(f"kappa must be positive, got {kappa}")
+    if not 0.0 < kappa < math.inf:
+        raise ValueError(f"kappa must be positive and finite, got {kappa}")
     rng = SplitMix64(seed)
     points = [(rng.next_float(), rng.next_float()) for _ in range(n)]
     inst = _complete_instance(points, kappa)
     if not complete:
-        inst = sparsify_k_nearest(inst, k=8)
+        inst = sparsify_k_nearest(inst)
     return inst
 
 
-def sparsify_k_nearest(inst: Instance, k: int) -> Instance:
-    """Keep mutual/one-sided k-nearest edges plus an MST to stay connected."""
+def sparsify_k_nearest(inst: Instance) -> Instance:
+    """Keep mutual/one-sided _K_NEAREST-nearest edges plus an MST to stay connected."""
     keep: set[tuple[int, int]] = set()
     for u in range(inst.n):
-        for c, v, _ in inst.adj[u][:k]:
+        for c, v, _ in inst.adj[u][:_K_NEAREST]:
             keep.add((u, v) if u < v else (v, u))
     for u, v, _ in minimum_spanning_tree(inst).edges:
         keep.add((u, v) if u < v else (v, u))

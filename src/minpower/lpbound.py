@@ -25,6 +25,10 @@ import numpy as np
 from minpower.graph import Instance
 from minpower.stars import Star, enumerate_stars, star_at
 
+# The ladder _FEAS_TOL < _CUT_TOL <= _VALUE_TOL keeps the value a bound: a cut
+# tolerance tau only guarantees value >= (1 - tau) LP, and one at or below the
+# master's feasibility slack lets separation return a row the master already
+# has (tau = 0 does on random-geometric n=17 kappa=2 seed=1).
 _FEAS_TOL = 1e-9  # simplex pivot / feasibility
 _CUT_TOL = 1e-7  # cut violation threshold
 _VALUE_TOL = 1e-6  # reported-value agreement
@@ -124,11 +128,7 @@ def _support(inst: Instance, weights: Mapping[StarKey, float]) -> list[tuple[Sta
     ]
 
 
-def most_violated_cut(
-    inst: Instance,
-    weights: Mapping[StarKey, float],
-    tol: float = _CUT_TOL,
-) -> CutViolation | None:
+def most_violated_cut(inst: Instance, weights: Mapping[StarKey, float]) -> CutViolation | None:
     """Find the vertex subset whose entering weight falls furthest below 1.
 
     Builds one flow network: a node per vertex, a node per supported star, an
@@ -136,7 +136,7 @@ def most_violated_cut(
     infinite capacity.  Min cuts from vertex 0 to each t (subsets avoiding 0)
     and from each t back to 0 (subsets containing 0) together range over every
     proper nonempty subset; the capacities are restored before each max-flow.
-    Returns None when all loads reach 1 - tol.
+    Returns None when all loads reach 1 - _CUT_TOL.
     """
     n = inst.n
     if n <= 1:
@@ -157,7 +157,7 @@ def most_violated_cut(
         for s, sink in ((0, t), (t, 0)):
             net.cap[:] = capacities
             value, side = net.max_flow(s, sink)
-            if value >= 1.0 - tol:
+            if value >= 1.0 - _CUT_TOL:
                 continue
             subset = frozenset(v for v in range(n) if v not in side)
             load = cut_load(support, subset)
@@ -165,7 +165,7 @@ def most_violated_cut(
                 raise LpError(
                     f"cut load {load} disagrees with flow value {value} for {sorted(subset)}"
                 )
-            if load < 1.0 - tol and (best is None or load < best.load):
+            if load < 1.0 - _CUT_TOL and (best is None or load < best.load):
                 best = CutViolation(subset, load)
     return best
 
@@ -234,23 +234,15 @@ class _Master:
         return y, value
 
 
-def check_cut_tolerance(tol: float) -> None:
-    """A cut tolerance tau only guarantees value >= (1 - tau) * LP, so it must
-    lie in [0, _VALUE_TOL] for the value to be the bound it is reported as."""
-    if not 0.0 <= tol <= _VALUE_TOL:
-        raise ValueError(f"cut tolerance {tol!r} is outside [0, {_VALUE_TOL:g}]")
-
-
-def lp_lower_bound(inst: Instance, tol: float = _CUT_TOL) -> FractionalSolution:
+def lp_lower_bound(inst: Instance) -> FractionalSolution:
     """Optimum of the fractional star-cover relaxation, certified by separation.
 
     Seeds the master with the singleton cuts in both directions (every vertex
     must be entered, every vertex must buy a star), then alternates solving the
     restricted master with max-flow separation until no cut is violated by
-    more than tol.  Each round adds a constraint the master did not have, so
-    the loop terminates; the final separation sweep is the certificate.
+    more than _CUT_TOL.  Each round adds a constraint the master did not have,
+    so the loop terminates; the final separation sweep is the certificate.
     """
-    check_cut_tolerance(tol)
     n = inst.n
     stars = enumerate_stars(inst)
     if n == 1:
@@ -284,7 +276,7 @@ def lp_lower_bound(inst: Instance, tol: float = _CUT_TOL) -> FractionalSolution:
     for round_no in range(1, _MAX_ROUNDS + 1):
         y, value = master.solve()
         weights = {keys[j]: float(y[j]) for j in range(len(stars)) if y[j] > 1e-12}
-        violation = most_violated_cut(inst, weights, tol)
+        violation = most_violated_cut(inst, weights)
         if violation is None:
             return FractionalSolution(weights, value, round_no, len(seen_rows), master.pivots)
         if not add_cut(violation.subset):

@@ -1,3 +1,6 @@
+import math
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from minpower.graph import (
 )
 from minpower.instances import (
     GeneratorSpec,
+    _complete_instance,
     SplitMix64,
     gen_line,
     gen_polygon,
@@ -21,7 +25,6 @@ from minpower.instances import (
     line_alternative_power,
     read_assignment,
     read_instance,
-    sparsify_k_nearest,
     write_assignment,
     write_instance,
 )
@@ -129,6 +132,27 @@ class TestRandomGeometric:
     def test_positive_costs(self):
         inst = gen_random_geometric(12, 4.0, 11)
         assert all(c > 0.0 for _, _, c in inst.edges)
+
+    @pytest.mark.parametrize("kappa", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    def test_kappa_must_be_positive_and_finite(self, kappa):
+        with pytest.raises(ValueError, match="kappa must be positive and finite"):
+            gen_random_geometric(5, kappa, 0)
+
+    @pytest.mark.parametrize(
+        "n, kappa, message",
+        [
+            (2, 1e6, "cost of edge 0-1 overflows at kappa=1000000.0"),
+            (30, 2100.0, "cost of edge 0-5 underflows to 0 at kappa=2100.0"),
+        ],
+    )
+    def test_cost_out_of_range_names_kappa(self, n, kappa, message):
+        # points 0 and 5 of seed 0 are distinct: the cost, not the distance, is 0
+        with pytest.raises(InstanceError, match=re.escape(message)):
+            gen_random_geometric(n, kappa, 0)
+
+    def test_coincident_points_named(self):
+        with pytest.raises(InstanceError, match="coincident points 0 and 2"):
+            _complete_instance([(0.5, 0.5), (0.25, 0.5), (0.5, 0.5)], 3.0)
 
     def test_sparsifier_keeps_connectivity(self):
         inst = gen_random_geometric(12, 2.0, 13, complete=False)
