@@ -7,6 +7,8 @@ import pytest
 from minpower import cli
 from minpower.cli import main
 from minpower.exact import SearchLimits
+from minpower.graph import Instance
+from minpower.instances import read_instance, write_instance
 
 
 @pytest.fixture()
@@ -172,11 +174,20 @@ class TestTolerance:
         assert main(["gen", "family=random-geometric,n=8,kappa=2,seed=3", "--out", str(path)]) == 0
         return path
 
-    def test_fixed_tolerance_bound(self, r8_instance, capsys):
+    @pytest.mark.parametrize("tol", ["0", "1e-7"])
+    def test_tolerance_accepted(self, r8_instance, tmp_path, capsys, tol):
+        # scaling every cost by 1 + tol, up to the fixed cut tolerance, scales
+        # the bound by the same factor and leaves the reported 0.650795 (the
+        # unrounded bound 0.65079480 is 1.5e-7 above the rounding boundary)
+        scale = 1.0 + float(tol)
+        inst = read_instance(str(r8_instance))
+        scaled = Instance.from_edges(inst.n, [(u, v, c * scale) for u, v, c in inst.edges])
+        path = tmp_path / "r8-scaled.txt"
+        write_instance(scaled, str(path))
         capsys.readouterr()
-        assert main(["solve", str(r8_instance), "--lp"]) == 0
+        assert main(["solve", str(path), "--lp"]) == 0
         record = json.loads(capsys.readouterr().out)
-        assert record["c_mst"] == pytest.approx(0.491111, abs=1e-6)
+        assert record["c_mst"] == pytest.approx(0.491111 * scale, abs=1e-6)
         assert record["lp_value"] == 0.650795
 
     def test_tolerance_is_not_a_flag(self, r8_instance, capsys):
