@@ -2,17 +2,18 @@
 """Digest the solvers' exact outputs on fixed corpora, to show that a change
 leaves them bit-identical.
 
-Prints two lines.  The greedy digest covers every trace entry (center, radius,
-gain and power, as float hex) and the total power of each instance; the LP
-digest covers each instance's bound value (float hex), rounds, constraints and
-simplex pivots.  Run it on two checkouts and compare the lines.  --max-n keeps
-only the specs with n up to the given value, for a quick run.
+Prints three lines.  The greedy digest covers every trace entry (center,
+radius, gain and power, as float hex) and the total power of each instance; the
+LP digest covers each instance's bound value (float hex), rounds, constraints
+and simplex pivots; the exact digest covers each instance's oracle status and
+optimum (float hex).  Run it on two checkouts and compare the lines.  --max-n
+keeps only the specs with n up to the given value, for a quick run.
 """
 
 import argparse
 import hashlib
 
-from minpower import GeneratorSpec, greedy_solve, lp_lower_bound
+from minpower import GeneratorSpec, SearchLimits, exact_optimum, greedy_solve, lp_lower_bound
 
 GREEDY_SPECS = (
     [f"family=line,n={n},eps={eps}" for eps in (0.25, 0.0078125) for n in (2, 5, 10, 25, 50)]
@@ -48,6 +49,17 @@ LP_SPECS = (
 )
 
 
+# the benchmark's oracle-sweep corpus (n 8-10, kappa 1/2/4, three seeds per
+# cell), an instance the LP bound leaves to the search, and the 6-point polygon
+_SWEEP_CELLS = [(n, kappa) for kappa in (1, 2, 4) for n in (8, 9, 10)]
+EXACT_SPECS = [
+    f"family=random-geometric,n={n},kappa={kappa},seed={i * len(_SWEEP_CELLS) + j}"
+    for i in range(3)
+    for j, (n, kappa) in enumerate(_SWEEP_CELLS)
+] + ["family=random-geometric,n=8,kappa=4,seed=17", "family=polygon,n=2"]
+EXACT_LIMITS = SearchLimits(max_vertices=10)
+
+
 def greedy_lines(inst):
     solution = greedy_solve(inst)
     for entry in solution.trace:
@@ -59,6 +71,11 @@ def greedy_lines(inst):
 def lp_lines(inst):
     frac = lp_lower_bound(inst)
     yield f"{frac.value.hex()} {frac.rounds} {frac.constraints} {frac.pivots}"
+
+
+def exact_lines(inst):
+    result = exact_optimum(inst, EXACT_LIMITS)
+    yield f"{result.status} {result.opt.hex()}"
 
 
 def digest(specs, lines) -> str:
@@ -76,7 +93,12 @@ def main() -> None:
     parser.add_argument("--max-n", type=int, default=None, help="skip specs with a larger n")
     args = parser.parse_args()
 
-    for name, texts, lines in (("greedy", GREEDY_SPECS, greedy_lines), ("lp", LP_SPECS, lp_lines)):
+    corpora = (
+        ("greedy", GREEDY_SPECS, greedy_lines),
+        ("lp", LP_SPECS, lp_lines),
+        ("exact", EXACT_SPECS, exact_lines),
+    )
+    for name, texts, lines in corpora:
         specs = [GeneratorSpec.parse(text) for text in texts]
         specs = [s for s in specs if args.max_n is None or s.n <= args.max_n]
         print(f"{name:<6} {len(specs):>3} instances  digest {digest(specs, lines)}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
@@ -56,6 +57,7 @@ class RunReport:
     exact_status: str | None = None
     exact_opt: float | None = None
     exact_limit: str | None = None
+    exact_proof: str | None = None
     lp_value: float | None = None
     lp_rounds: int | None = None
     lp_pivots: int | None = None
@@ -64,7 +66,7 @@ class RunReport:
 
     # fields only the table view shows, so records stay free of wall-clock
     # time and keep their bytes
-    TABLE_ONLY = ("exact_limit", "lp_pivots", "timings")
+    TABLE_ONLY = ("exact_limit", "exact_proof", "lp_pivots", "timings")
 
     def record(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in self.TABLE_ONLY}
@@ -81,7 +83,8 @@ class RunReport:
             f"certificates    {'ok' if self.certificates_ok else 'FAILED: ' + ', '.join(self.certificate_failures)}",
         ]
         if self.exact_status is not None:
-            status = self.exact_status + (f": {self.exact_limit}" if self.exact_limit else "")
+            why = self.exact_limit or self.exact_proof
+            status = self.exact_status + (f": {why}" if why else "")
             shown = f"{self.exact_opt:.6f} ({status})" if self.exact_opt is not None else status
             lines.append(f"exact optimum   {shown}")
         if self.lp_value is not None:
@@ -144,6 +147,7 @@ def _solve_instance(
             report.exact_status = exact.status
             report.exact_opt = exact.opt
             report.exact_limit = exact.limit
+            report.exact_proof = exact.proof
             if not exact.optimal and code == EXIT_OK:
                 code = EXIT_INCONCLUSIVE
 
@@ -202,6 +206,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
             path += ".witness"
             write_assignment(witness, path)
     except OSError as exc:
+        if path != args.out:  # no instance file without the witness it comes with
+            os.remove(args.out)
         print(f"gen: cannot write {path}: {exc.strerror}", file=sys.stderr)
         return EXIT_USAGE
     print(f"wrote {args.out}" + (f" and {path}" if witness is not None else ""))
@@ -219,10 +225,14 @@ def _emit(report: RunReport, fmt: str, out_path: str | None, out_lines: list[str
 
 
 def _write_records(command: str, path: str, lines: list[str]) -> bool:
-    """Write the records to path; on failure say so in one line and return False."""
+    """Write the records to path; on failure say so in one line and return False.
+
+    Called with no records before any solving starts, so that an unwritable
+    path costs no solver time; that call leaves an existing file as it is.
+    """
     try:
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        with open(path, "w" if lines else "a") as fh:
+            fh.write("".join(line + "\n" for line in lines))
     except OSError as exc:
         print(f"{command}: cannot write {path}: {exc.strerror}", file=sys.stderr)
         return False
@@ -234,6 +244,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         inst = read_instance(args.instance)
     except (OSError, InstanceError) as exc:
         print(f"solve: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.out is not None and not _write_records("solve", args.out, []):
         return EXIT_USAGE
     meta = _read_generator_comment(args.instance)
     report, code = _solve_instance(inst, args.instance, meta, args.exact, args.lp, args.max_exact_n)
@@ -280,6 +292,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         seeds = _parse_seeds(args.seeds)
     except ValueError as exc:
         print(f"bench: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.out is not None and not _write_records("bench", args.out, []):
         return EXIT_USAGE
 
     out_lines: list[str] = []

@@ -1,21 +1,34 @@
-"""Exact branch-and-bound oracle for small instances.
+"""Exact oracle for small instances: an LP certificate first, then branch and
+bound for what the certificate leaves open.
 
 Any optimal power assignment can be rounded down so every vertex's power is
 either 0 or one of its incident costs (power only matters through which arcs
-it enables), so the search branches over those finite level sets.  The greedy
-solution seeds the incumbent, partial assignments are pruned against the sum
-of remaining minimum levels, and a blown budget yields an explicit
-"inconclusive" result rather than a wrong optimum.
+it enables).  The oracle first solves the cut LP of lpbound, whose value is a
+lower bound on the optimum, and rounds its support up to an integral
+assignment: each vertex takes the largest radius among its stars of positive
+weight.  The LP's final separation sweep shows every proper vertex subset
+entered by positive weight, so the support arcs make the rounding strongly
+connected.  When the better of the rounding and the greedy solution costs at
+most (1 + _CERT_TOL) times the LP value, it is optimal and no search runs.
+
+Otherwise the search branches over the finite level sets, seeded with that
+incumbent.  Partial assignments are pruned against the sum of remaining
+minimum levels, the search stops as soon as the incumbent meets the LP bound,
+and a blown budget yields an explicit "inconclusive" result rather than a
+wrong optimum.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from time import perf_counter
+from typing import Mapping
 
 from minpower.graph import Instance, PowerAssignment, induced_arcs, is_strongly_connected
 from minpower.greedy import greedy_solve
+from minpower.lpbound import _CERT_TOL, LpError, StarKey, lp_lower_bound
 
 
 @dataclass(frozen=True)
@@ -38,6 +51,7 @@ class ExactResult:
     assignment: PowerAssignment
     nodes: int
     limit: str | None = None  # the SearchLimits field that stopped an inconclusive search
+    proof: str | None = None  # "lp" (the LP bound, no search) or "search"; None if inconclusive
 
     @property
     def optimal(self) -> bool:
@@ -84,21 +98,52 @@ def _induced_strongly_connected(inst: Instance, p: list[float]) -> bool:
     return count == n
 
 
+def _round_lp_support(n: int, weights: Mapping[StarKey, float]) -> list[float]:
+    """Give each vertex the largest radius among its stars of positive weight."""
+    p = [0.0] * n
+    for (center, radius), w in weights.items():
+        if w > 0.0 and radius > p[center]:
+            p[center] = radius
+    return p
+
+
 def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactResult:
     """Minimum total power with a verifying witness assignment.
 
-    Vertices are assigned in decreasing-degree order, levels are tried from
-    high to low, and a branch is cut once its committed power plus the minimum
-    completion cannot beat the incumbent.
+    The incumbent is the better of the greedy solution and the rounded LP
+    support; it is returned with proof "lp" when the LP bound certifies it.
+    Otherwise vertices are assigned in decreasing-degree order, levels are
+    tried from high to low, and a branch is cut once its committed power plus
+    the minimum completion cannot beat the incumbent.  The search stops once
+    the incumbent meets the LP bound, or once a limit trips.  An LpError
+    leaves the search to prove optimality on its own.
     """
     limits = limits or SearchLimits()
     n = inst.n
     if n > limits.max_vertices:
         raise ValueError(f"instance has {n} vertices, limit is {limits.max_vertices}")
     if n == 1:
-        return ExactResult("optimal", 0.0, PowerAssignment((0.0,)), 0)
+        return ExactResult("optimal", 0.0, PowerAssignment((0.0,)), 0, proof="lp")
 
     start = perf_counter()
+    incumbent = greedy_solve(inst)
+    best = incumbent.total_power
+    best_assign = list(incumbent.powers.levels)
+
+    try:
+        frac = lp_lower_bound(inst)
+    except LpError:
+        certified = -math.inf  # no bound: only a finished search proves optimality
+    else:
+        certified = frac.value * (1.0 + _CERT_TOL)
+        rounded = _round_lp_support(n, frac.weights)
+        total = float(sum(rounded))  # canonical vertex-order sum
+        if total < best and _induced_strongly_connected(inst, rounded):
+            best = total
+            best_assign = rounded
+        if best <= certified:
+            return ExactResult("optimal", best, PowerAssignment(tuple(best_assign)), 0, proof="lp")
+
     # strong connectivity needs an outgoing arc everywhere, so level 0 is only
     # viable when a zero-cost edge provides it; incident costs cover that case
     levels = [sorted({c for c, _, _ in inst.adj[v]}, reverse=True) for v in range(n)]
@@ -107,24 +152,23 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
     for i in reversed(range(n)):
         suffix_min[i] = suffix_min[i + 1] + levels[order[i]][-1]
 
-    incumbent = greedy_solve(inst)
-    best = incumbent.total_power
-    best_assign = list(incumbent.powers.levels)
-
     p = [0.0] * n
     nodes = 0
     limit: str | None = None
+    stop = False  # a limit tripped, or the incumbent met the LP bound
 
     def dfs(i: int, partial: float) -> None:
-        nonlocal nodes, best, best_assign, limit
+        nonlocal nodes, best, best_assign, limit, stop
         nodes += 1
-        if limit is not None:
+        if stop:
             return
         if nodes > limits.max_nodes:
             limit = "max_nodes"
+            stop = True
             return
         if nodes % 4096 == 0 and perf_counter() - start > limits.time_budget:
             limit = "time_budget"
+            stop = True
             return
         if partial + suffix_min[i] >= best:
             return
@@ -133,6 +177,7 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
             if total < best and _induced_strongly_connected(inst, p):
                 best = total
                 best_assign = p.copy()
+                stop = best <= certified
             return
         v = order[i]
         tail = suffix_min[i + 1]
@@ -141,13 +186,13 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
                 continue
             p[v] = lev
             dfs(i + 1, partial + lev)
-            if limit is not None:
+            if stop:
                 return
         p[v] = 0.0
 
     dfs(0, 0.0)
-    status = "optimal" if limit is None else "inconclusive"
-    return ExactResult(status, best, PowerAssignment(tuple(best_assign)), nodes, limit)
+    status, proof = ("optimal", "search") if limit is None else ("inconclusive", None)
+    return ExactResult(status, best, PowerAssignment(tuple(best_assign)), nodes, limit, proof)
 
 
 def brute_force_optimum(inst: Instance) -> tuple[float, PowerAssignment]:

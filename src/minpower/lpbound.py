@@ -32,6 +32,11 @@ from minpower.stars import Star, enumerate_stars, star_at
 _FEAS_TOL = 1e-9  # simplex pivot / feasibility
 _CUT_TOL = 1e-7  # cut violation threshold
 _VALUE_TOL = 1e-6  # reported-value agreement
+# Beside the ladder, not on it: an integral assignment whose power is at most
+# (1 + _CERT_TOL) times the value is reported optimal by the exact oracle.  The
+# value is a restricted master's optimum, so it never exceeds the optimum, and
+# the claim is opt <= power <= (1 + _CERT_TOL) opt.
+_CERT_TOL = 1e-9
 _MAX_ROUNDS = 10_000  # cut rounds before lp_lower_bound gives up
 
 StarKey = tuple[int, float]  # (center, radius)

@@ -1,8 +1,8 @@
 """Shared brute-force oracles and instance builders for the test suite.
 
 Everything here recomputes results by definition-level enumeration or by an
-older, simpler algorithm (the eager greedy scan), staying independent of the
-library code paths it is used to check.
+older, simpler algorithm (the eager greedy scan, the LP-free branch and
+bound), staying independent of the library code paths it is used to check.
 """
 
 from __future__ import annotations
@@ -10,8 +10,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from time import perf_counter
 
-from minpower.graph import Arc, Instance, Tree
+from minpower.exact import ExactResult, SearchLimits, _induced_strongly_connected
+from minpower.graph import Arc, Instance, PowerAssignment, Tree
+from minpower.greedy import greedy_solve
 from minpower.stars import CoverState, Star, apply_star, marginal_gain, star_at
 
 
@@ -104,6 +107,74 @@ def eager_select_best_star(inst: Instance, state: CoverState) -> tuple[Star, flo
             "coverage accounting is broken"
         )
     return star_at(inst, best_center, best_radius), best_gain
+
+
+def lp_free_exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactResult:
+    """Minimum total power by branch and bound alone, seeded by the greedy.
+
+    The search exact_optimum ran before it took the LP certificate first, kept
+    as its LP-free differential oracle.  Vertices are assigned in
+    decreasing-degree order, levels are tried from high to low, and a branch
+    is cut once its committed power plus the minimum completion cannot beat
+    the incumbent.
+    """
+    limits = limits or SearchLimits()
+    n = inst.n
+    if n > limits.max_vertices:
+        raise ValueError(f"instance has {n} vertices, limit is {limits.max_vertices}")
+    if n == 1:
+        return ExactResult("optimal", 0.0, PowerAssignment((0.0,)), 0)
+
+    start = perf_counter()
+    # strong connectivity needs an outgoing arc everywhere, so level 0 is only
+    # viable when a zero-cost edge provides it; incident costs cover that case
+    levels = [sorted({c for c, _, _ in inst.adj[v]}, reverse=True) for v in range(n)]
+    order = sorted(range(n), key=lambda v: (-len(inst.adj[v]), v))
+    suffix_min = [0.0] * (n + 1)
+    for i in reversed(range(n)):
+        suffix_min[i] = suffix_min[i + 1] + levels[order[i]][-1]
+
+    incumbent = greedy_solve(inst)
+    best = incumbent.total_power
+    best_assign = list(incumbent.powers.levels)
+
+    p = [0.0] * n
+    nodes = 0
+    limit: str | None = None
+
+    def dfs(i: int, partial: float) -> None:
+        nonlocal nodes, best, best_assign, limit
+        nodes += 1
+        if limit is not None:
+            return
+        if nodes > limits.max_nodes:
+            limit = "max_nodes"
+            return
+        if nodes % 4096 == 0 and perf_counter() - start > limits.time_budget:
+            limit = "time_budget"
+            return
+        if partial + suffix_min[i] >= best:
+            return
+        if i == n:
+            total = float(sum(p))  # canonical vertex-order sum
+            if total < best and _induced_strongly_connected(inst, p):
+                best = total
+                best_assign = p.copy()
+            return
+        v = order[i]
+        tail = suffix_min[i + 1]
+        for lev in levels[v]:
+            if partial + lev + tail >= best:
+                continue
+            p[v] = lev
+            dfs(i + 1, partial + lev)
+            if limit is not None:
+                return
+        p[v] = 0.0
+
+    dfs(0, 0.0)
+    status = "optimal" if limit is None else "inconclusive"
+    return ExactResult(status, best, PowerAssignment(tuple(best_assign)), nodes, limit)
 
 
 def random_connected_instance(rng: random.Random, n: int, complete: bool = False) -> Instance:

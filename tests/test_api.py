@@ -47,3 +47,15 @@ def test_greedy_digest_is_pinned(monkeypatch):
     specs = [minpower.GeneratorSpec.parse(text) for text in GREEDY_SPECS]
     assert len(specs) == 60
     assert digest(specs, greedy_lines) == "a00cefe9d1d3f340"
+
+
+def test_exact_digest_is_pinned(monkeypatch):
+    # status and optimum (float hex) of the exact oracle on the oracle-sweep
+    # corpus plus two more; the LP certificate must reach the same optimum, to
+    # the bit, as the branch-and-bound search it replaced
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from output_digest import EXACT_SPECS, digest, exact_lines
+
+    specs = [minpower.GeneratorSpec.parse(text) for text in EXACT_SPECS]
+    assert len(specs) == 29
+    assert digest(specs, exact_lines) == "04a60d89f312eeaf"

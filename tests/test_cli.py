@@ -74,6 +74,16 @@ class TestGen:
         assert captured.err == f"gen: cannot write {out}: No such file or directory\n"
         assert captured.out == ""
 
+    def test_unwritable_witness_leaves_no_instance(self, tmp_path, capsys):
+        out = tmp_path / "d" / "x.txt"
+        witness = tmp_path / "d" / "x.txt.witness"
+        witness.mkdir(parents=True)
+        assert main(["gen", "family=polygon,n=3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"gen: cannot write {witness}: Is a directory\n"
+        assert captured.out == ""
+        assert not out.exists()
+
 
 class TestSolve:
     def test_records_output(self, line_instance, capsys):
@@ -117,8 +127,9 @@ class TestSolve:
     def test_unwritable_out_exits_1(self, line_instance, tmp_path, capsys):
         out = tmp_path / "missing" / "x.jsonl"
         assert main(["solve", str(line_instance), "--out", str(out)]) == 1
-        err = capsys.readouterr().err
-        assert err == f"solve: cannot write {out}: No such file or directory\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"solve: cannot write {out}: No such file or directory\n"
+        assert captured.out == ""  # found out before solving, so no record was printed
 
     def test_non_utf8_file_exits_1(self, tmp_path, capsys):
         path = tmp_path / "latin1.txt"
@@ -151,8 +162,9 @@ class TestSolve:
         assert not any("pivot" in key for key in record)
 
     def test_table_names_the_tripped_limit_records_do_not(self, tmp_path, capsys, monkeypatch):
+        # the LP bound leaves this instance open, so the search runs into the limit
         path = tmp_path / "r8.txt"
-        assert main(["gen", "family=random-geometric,n=8,kappa=2,seed=5", "--out", str(path)]) == 0
+        assert main(["gen", "family=random-geometric,n=8,kappa=4,seed=17", "--out", str(path)]) == 0
         monkeypatch.setattr(cli, "SearchLimits", functools.partial(SearchLimits, max_nodes=3))
         capsys.readouterr()
         assert main(["solve", str(path), "--exact", "--format", "table"]) == 3
@@ -163,6 +175,22 @@ class TestSolve:
         record = json.loads(capsys.readouterr().out)
         assert record["exact_status"] == "inconclusive"
         assert not any("limit" in key for key in record)
+
+    @pytest.mark.parametrize(
+        "spec, proof",
+        [("n=8,kappa=2,seed=5", "lp"), ("n=8,kappa=4,seed=17", "search")],
+    )
+    def test_table_names_the_proof_records_do_not(self, tmp_path, capsys, spec, proof):
+        path = tmp_path / "r8.txt"
+        assert main(["gen", f"family=random-geometric,{spec}", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["solve", str(path), "--exact", "--format", "table"]) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines() if x.startswith("exact optimum"))
+        assert re.fullmatch(rf"exact optimum +[0-9.]+ \(optimal: {proof}\)", line)
+        assert main(["solve", str(path), "--exact"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["exact_status"] == "optimal"
+        assert not any("proof" in key for key in record)
 
 
 class TestTolerance:
@@ -305,8 +333,9 @@ class TestBench:
         out = tmp_path / "missing" / "b.jsonl"
         code = main(["bench", "--spec", "family=line,n=3", "--out", str(out)])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err == f"bench: cannot write {out}: No such file or directory\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"bench: cannot write {out}: No such file or directory\n"
+        assert captured.out == ""  # found out before the sweep, so no record was printed
 
     @pytest.mark.parametrize("seeds", ["5:2", "3:3", ","])
     def test_empty_seed_range_exits_1(self, capsys, seeds):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import helpers
+from minpower import exact
 from minpower.exact import (
     SearchLimits,
     brute_force_optimum,
@@ -12,6 +13,7 @@ from minpower.exact import (
 from minpower.graph import Instance, PowerAssignment, minimum_spanning_tree
 from minpower.greedy import greedy_solve
 from minpower.instances import gen_polygon, gen_random_geometric
+from minpower.lpbound import LpError, lp_lower_bound
 
 
 def triangle():
@@ -42,9 +44,10 @@ class TestExactOptimum:
             exact_optimum(inst, SearchLimits(max_vertices=9))
 
     def test_budget_gives_inconclusive_not_wrong(self):
-        inst = gen_random_geometric(8, 2.0, 5)
+        inst = gen_random_geometric(8, 4.0, 17)  # the LP bound leaves it to the search
         res = exact_optimum(inst, SearchLimits(max_nodes=3))
         assert res.status == "inconclusive"
+        assert res.proof is None
         # the reported value is still a feasible upper bound
         assert verify_assignment(inst, res.assignment)
         full = exact_optimum(inst)
@@ -52,11 +55,11 @@ class TestExactOptimum:
         assert res.opt >= full.opt
 
     def test_inconclusive_names_its_limit(self):
-        inst = gen_random_geometric(8, 2.0, 5)
+        inst = gen_random_geometric(8, 4.0, 17)
         assert exact_optimum(inst, SearchLimits(max_nodes=3)).limit == "max_nodes"
         assert exact_optimum(inst).limit is None
         # the clock is read every 4096 nodes, and this search needs more
-        res = exact_optimum(gen_random_geometric(9, 2.0, 1), SearchLimits(time_budget=1e-9))
+        res = exact_optimum(inst, SearchLimits(time_budget=1e-9))
         assert (res.status, res.limit) == ("inconclusive", "time_budget")
 
     def test_witness_always_verifies(self):
@@ -67,6 +70,57 @@ class TestExactOptimum:
             assert res.optimal
             assert verify_assignment(inst, res.assignment)
             assert res.assignment.total == pytest.approx(res.opt, rel=1e-12)
+
+
+class TestProof:
+    def test_lp_certificate_closes_without_search(self):
+        inst = gen_random_geometric(8, 2.0, 5)
+        res = exact_optimum(inst)
+        assert (res.status, res.proof, res.nodes) == ("optimal", "lp", 0)
+        assert verify_assignment(inst, res.assignment)
+        assert res.opt <= lp_lower_bound(inst).value * (1 + 1e-9)
+
+    def test_search_closes_what_the_bound_leaves_open(self):
+        inst = gen_random_geometric(8, 4.0, 17)
+        assert lp_lower_bound(inst).value < 0.1542  # opt is 0.155186
+        res = exact_optimum(inst)
+        assert (res.status, res.proof) == ("optimal", "search")
+        assert res.nodes > 0
+
+
+def lp_free_corpus():
+    for n in range(3, 9):
+        for kappa in (1.0, 2.0, 4.0):
+            for seed in range(4):
+                yield f"rgg-{n}-{kappa:g}-{seed}", gen_random_geometric(n, kappa, seed)
+    rng = random.Random(79)
+    for i in range(30):
+        # small integer costs, so optima tie between assignments
+        inst = helpers.random_connected_instance(rng, 2 + i % 6, complete=bool(i % 2))
+        yield f"int-{i}", inst
+    yield "rgg-8-4-17", gen_random_geometric(8, 4.0, 17)
+
+
+class TestLpFreeDifferential:
+    def test_matches_the_lp_free_search(self):
+        for label, inst in lp_free_corpus():
+            res = exact_optimum(inst)
+            ref = helpers.lp_free_exact_optimum(inst)
+            assert (res.status, res.opt.hex()) == (ref.status, ref.opt.hex()), label
+            assert verify_assignment(inst, res.assignment), label
+
+    def test_lp_error_falls_back_to_search(self, monkeypatch):
+        def failing_lp(inst):
+            raise LpError("injected")
+
+        monkeypatch.setattr(exact, "lp_lower_bound", failing_lp)
+        for n, kappa, seed in ((6, 2.0, 0), (7, 1.0, 3), (8, 2.0, 5), (8, 4.0, 17)):
+            inst = gen_random_geometric(n, kappa, seed)
+            res = exact_optimum(inst)
+            ref = helpers.lp_free_exact_optimum(inst)
+            assert (res.status, res.proof) == ("optimal", "search")
+            assert res.opt.hex() == ref.opt.hex()
+            assert res.nodes == ref.nodes  # the same search, with no bound to stop it
 
 
 class TestVerifyAssignment:
