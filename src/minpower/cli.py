@@ -1,7 +1,11 @@
 """Command-line front end: generate, solve, verify, and batch-benchmark.
 
-Exit codes: 0 all certificates pass, 1 usage or I/O error, 2 certificate
-failure, 3 exact oracle unavailable or inconclusive when --exact was given.
+Exit codes: 0 all checks pass, 1 usage or I/O error, 2 a certificate failure,
+3 exact oracle unavailable or inconclusive when --exact was given; 2 outranks 3.
+A run's failures are listed by name in its record: the greedy certificates,
+lp_bound when the LP fails, and each inequality of the paper's bracket
+c(MST) <= LP <= opt <= greedy <= 1.85 opt, greedy <= 1.85 LP that the
+computed values break.
 
 Structured records are line-delimited JSON with sorted keys and no wall-clock
 fields, so a given (instance, flags) pair always produces identical bytes;
@@ -17,9 +21,9 @@ import sys
 from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 
-from minpower.exact import ExactResult, SearchLimits, exact_optimum
+from minpower.exact import SearchLimits, exact_optimum, verify_assignment
 from minpower.graph import Instance, InstanceError, bidirect, minimum_spanning_tree, power_of
-from minpower.greedy import certify, greedy_solve
+from minpower.greedy import _REL_TOL, _leq, certify, greedy_solve, ratio_bound
 from minpower.instances import (
     GeneratorSpec,
     read_assignment,
@@ -27,12 +31,20 @@ from minpower.instances import (
     write_assignment,
     write_instance,
 )
-from minpower.lpbound import FractionalSolution, LpError, lp_lower_bound
+from minpower.lpbound import LpError, lp_lower_bound
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CERT = 2
 EXIT_INCONCLUSIVE = 3
+
+# the bracket checks take the relative slack of greedy's certificates, and 1e-6
+# wherever the LP value takes part, since it may sit up to the 1e-7 cut
+# tolerance below the LP optimum
+_LP_REL_TOL = 1e-6
+_RATIO = ratio_bound(0.5)
+
+_SEVERITY = (EXIT_OK, EXIT_INCONCLUSIVE, EXIT_CERT)  # a certificate failure outranks the rest
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,7 +64,6 @@ class RunReport:
     greedy_power: float
     greedy_iterations: int
     star_power: float
-    certificates_ok: bool
     certificate_failures: list[str]
     exact_status: str | None = None
     exact_opt: float | None = None
@@ -68,8 +79,25 @@ class RunReport:
     # time and keep their bytes
     TABLE_ONLY = ("exact_limit", "exact_proof", "lp_pivots", "timings")
 
+    @property
+    def certificates_ok(self) -> bool:
+        return not self.certificate_failures
+
+    @property
+    def exact_not_optimal(self) -> bool:
+        return self.exact_status not in (None, "optimal")
+
+    def exit_status(self) -> int:
+        """The run's verdict: any failure, else an exact optimum not proved, else ok."""
+        if self.certificate_failures:
+            return EXIT_CERT
+        if self.exact_not_optimal:
+            return EXIT_INCONCLUSIVE
+        return EXIT_OK
+
     def record(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in self.TABLE_ONLY}
+        payload["certificates_ok"] = self.certificates_ok
         return json.dumps(payload, sort_keys=True)
 
     def table(self) -> str:
@@ -98,6 +126,27 @@ class RunReport:
         return "\n".join(lines)
 
 
+def _bracket_failures(c_mst: float, greedy: float, opt: float | None, lp: float | None) -> list[str]:
+    """Names of the bracket's inequalities that the values break; opt and lp are
+    None where the oracle proved no optimum or the LP did not run."""
+    checks = []
+    if opt is not None:
+        checks += [
+            ("mst_within_opt", c_mst, opt, _REL_TOL),
+            ("opt_within_greedy", opt, greedy, _REL_TOL),
+            ("greedy_within_ratio_of_opt", greedy, _RATIO * opt, _REL_TOL),
+        ]
+    if lp is not None:
+        checks += [
+            ("mst_within_lp", c_mst, lp, _LP_REL_TOL),
+            ("lp_within_greedy", lp, greedy, _LP_REL_TOL),
+            ("greedy_within_ratio_of_lp", greedy, _RATIO * lp, _LP_REL_TOL),
+        ]
+        if opt is not None:
+            checks.append(("lp_within_opt", lp, opt, _LP_REL_TOL))
+    return [name for name, a, b, tol in checks if not _leq(a, b, tol)]
+
+
 def _solve_instance(
     inst: Instance,
     label: str,
@@ -105,7 +154,7 @@ def _solve_instance(
     want_exact: bool,
     want_lp: bool,
     max_exact_n: int,
-) -> tuple[RunReport, int]:
+) -> RunReport:
     timings: dict[str, float] = {}
 
     t0 = perf_counter()
@@ -128,18 +177,14 @@ def _solve_instance(
         greedy_power=solution.total_power,
         greedy_iterations=solution.iterations,
         star_power=solution.star_power,
-        certificates_ok=cert.all_passed,
         certificate_failures=cert.failures(),
         timings=timings,
     )
 
-    code = EXIT_OK if cert.all_passed else EXIT_CERT
-    exact: ExactResult | None = None
+    opt: float | None = None  # the optimum, once the oracle has proved it
     if want_exact:
         if inst.n > max_exact_n:
             report.exact_status = "skipped: instance too large"
-            if code == EXIT_OK:
-                code = EXIT_INCONCLUSIVE
         else:
             t0 = perf_counter()
             exact = exact_optimum(inst, SearchLimits(max_vertices=max_exact_n))
@@ -148,30 +193,31 @@ def _solve_instance(
             report.exact_opt = exact.opt
             report.exact_limit = exact.limit
             report.exact_proof = exact.proof
-            if not exact.optimal and code == EXIT_OK:
-                code = EXIT_INCONCLUSIVE
+            if exact.optimal:
+                opt = exact.opt
 
-    lp: FractionalSolution | None = None
+    lp: float | None = None  # the unrounded bound, once computed
     if want_lp:
         t0 = perf_counter()
         try:
-            lp = lp_lower_bound(inst)
+            frac = lp_lower_bound(inst)
         except LpError as exc:
             print(f"lp bound failed: {exc}", file=sys.stderr)
-            if code == EXIT_OK:
-                code = EXIT_CERT
+            report.certificate_failures.append("lp_bound")
+        else:
+            lp = frac.value
+            report.lp_value = round(lp, 6)
+            report.lp_rounds = frac.rounds
+            report.lp_pivots = frac.pivots
         timings["lp"] = perf_counter() - t0
-        if lp is not None:
-            report.lp_value = round(lp.value, 6)
-            report.lp_rounds = lp.rounds
-            report.lp_pivots = lp.pivots
 
-    if exact is not None and exact.optimal and exact.opt > 0:
-        report.ratios["greedy_vs_exact"] = round(solution.total_power / exact.opt, 6)
-        report.ratios["mst_vs_exact"] = round(mst_power / exact.opt, 6)
-    if lp is not None and lp.value > 0:
-        report.ratios["greedy_vs_lp"] = round(solution.total_power / lp.value, 6)
-    return report, code
+    report.certificate_failures += _bracket_failures(tree.total_cost, solution.total_power, opt, lp)
+    if opt is not None and opt > 0:
+        report.ratios["greedy_vs_exact"] = round(solution.total_power / opt, 6)
+        report.ratios["mst_vs_exact"] = round(mst_power / opt, 6)
+    if lp is not None and lp > 0:
+        report.ratios["greedy_vs_lp"] = round(solution.total_power / lp, 6)
+    return report
 
 
 def _read_generator_comment(path: str) -> str | None:
@@ -248,17 +294,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.out is not None and not _write_records("solve", args.out, []):
         return EXIT_USAGE
     meta = _read_generator_comment(args.instance)
-    report, code = _solve_instance(inst, args.instance, meta, args.exact, args.lp, args.max_exact_n)
+    report = _solve_instance(inst, args.instance, meta, args.exact, args.lp, args.max_exact_n)
     out_lines: list[str] = []
     _emit(report, args.format, args.out, out_lines)
     if args.out is not None and not _write_records("solve", args.out, out_lines):
         return EXIT_USAGE
-    return code
+    return report.exit_status()
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from minpower.exact import verify_assignment
-
     try:
         inst = read_instance(args.instance)
         assignment = read_assignment(args.assignment, inst.n)
@@ -311,21 +355,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
             except (ValueError, InstanceError) as exc:
                 print(f"bench: {spec_i.canonical()}: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-            report, run_code = _solve_instance(
+            report = _solve_instance(
                 inst, spec_i.canonical(), spec_i.canonical(), args.exact, args.lp, args.max_exact_n
             )
             _emit(report, args.format, args.out, out_lines)
             count += 1
             for name, value in report.ratios.items():
                 worst[name] = max(worst.get(name, 0.0), value)
-            if not report.certificates_ok:
-                cert_failures += 1
-            if report.exact_status not in (None, "optimal"):
-                inconclusive += 1
-            if run_code == EXIT_CERT:
-                code = EXIT_CERT
-            elif run_code == EXIT_INCONCLUSIVE and code == EXIT_OK:
-                code = EXIT_INCONCLUSIVE
+            cert_failures += not report.certificates_ok
+            inconclusive += report.exact_not_optimal
+            code = max(code, report.exit_status(), key=_SEVERITY.index)
 
     summary = {
         "summary": {
@@ -344,6 +383,16 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return code
 
 
+def _vertex_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="minpower", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -356,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--exact", action="store_true", help="also run the exact oracle")
     common.add_argument("--lp", action="store_true", help="also compute the LP lower bound")
-    common.add_argument("--max-exact-n", type=int, default=9, metavar="K")
+    common.add_argument("--max-exact-n", type=_vertex_count, default=9, metavar="K")
     common.add_argument("--out", default=None, help="write structured records to this file")
     common.add_argument("--format", choices=("table", "records"), default="records")
 

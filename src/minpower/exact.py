@@ -75,7 +75,7 @@ def _induced_strongly_connected(inst: Instance, p: list[float]) -> bool:
     while stack:
         u = stack.pop()
         pu = p[u]
-        for c, v, _ in adj[u]:
+        for c, v in adj[u]:
             if c > pu:
                 break
             if not seen[v]:
@@ -90,7 +90,7 @@ def _induced_strongly_connected(inst: Instance, p: list[float]) -> bool:
     count = 1
     while stack:
         u = stack.pop()
-        for c, v, _ in adj[u]:
+        for c, v in adj[u]:
             if not seen[v] and p[v] >= c:
                 seen[v] = 1
                 count += 1
@@ -146,7 +146,7 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
 
     # strong connectivity needs an outgoing arc everywhere, so level 0 is only
     # viable when a zero-cost edge provides it; incident costs cover that case
-    levels = [sorted({c for c, _, _ in inst.adj[v]}, reverse=True) for v in range(n)]
+    levels = [sorted({c for c, _ in inst.adj[v]}, reverse=True) for v in range(n)]
     order = sorted(range(n), key=lambda v: (-len(inst.adj[v]), v))
     suffix_min = [0.0] * (n + 1)
     for i in reversed(range(n)):
@@ -202,7 +202,7 @@ def brute_force_optimum(inst: Instance) -> tuple[float, PowerAssignment]:
         raise ValueError("brute force is limited to n <= 6")
     if n == 1:
         return 0.0, PowerAssignment((0.0,))
-    level_sets = [[0.0] + sorted({c for c, _, _ in inst.adj[v]}) for v in range(n)]
+    level_sets = [[0.0] + sorted({c for c, _ in inst.adj[v]}) for v in range(n)]
     best = float("inf")
     best_p: tuple[float, ...] | None = None
     for combo in itertools.product(*level_sets):

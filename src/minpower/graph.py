@@ -70,12 +70,12 @@ class Instance:
         return len(self.edges)
 
     @cached_property
-    def adj(self) -> tuple[tuple[tuple[float, int, int], ...], ...]:
-        """adj[u]: incident (cost, neighbor, edge_index), sorted by (cost, neighbor)."""
-        lists: list[list[tuple[float, int, int]]] = [[] for _ in range(self.n)]
-        for idx, (u, v, c) in enumerate(self.edges):
-            lists[u].append((c, v, idx))
-            lists[v].append((c, u, idx))
+    def adj(self) -> tuple[tuple[tuple[float, int], ...], ...]:
+        """adj[u]: incident (cost, neighbor) pairs, sorted by (cost, neighbor)."""
+        lists: list[list[tuple[float, int]]] = [[] for _ in range(self.n)]
+        for u, v, c in self.edges:
+            lists[u].append((c, v))
+            lists[v].append((c, u))
         return tuple(tuple(sorted(l)) for l in lists)
 
     @cached_property
@@ -99,7 +99,7 @@ class Instance:
         count = 1
         while queue:
             u = queue.popleft()
-            for _, v, _ in self.adj[u]:
+            for _, v in self.adj[u]:
                 if not seen[v]:
                     seen[v] = 1
                     count += 1
@@ -231,7 +231,7 @@ def induced_arcs(inst: Instance, assignment: PowerAssignment) -> set[Arc]:
     arcs: set[Arc] = set()
     for u in range(inst.n):
         pu = assignment[u]
-        for c, v, _ in inst.adj[u]:
+        for c, v in inst.adj[u]:
             if c > pu:
                 break  # adjacency is cost-sorted
             arcs.add((u, v))

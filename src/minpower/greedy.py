@@ -29,8 +29,8 @@ from minpower.stars import CoverState, Star, apply_star, marginal_gain, root_quo
 _REL_TOL = 1e-9
 
 
-def _leq(a: float, b: float) -> bool:
-    return a <= b + _REL_TOL * max(1.0, abs(b))
+def _leq(a: float, b: float, tol: float = _REL_TOL) -> bool:
+    return a <= b + tol * max(1.0, abs(b))
 
 
 @dataclass(frozen=True)
@@ -120,7 +120,7 @@ def _scan_center(
         if best is None or ratio > best[0] or (ratio == best[0] and gain > best[1]):
             best = (ratio, gain, radius)
 
-    for c, v, _ in inst.adj[u]:
+    for c, v in inst.adj[u]:
         if prev_cost is not None and c != prev_cost:
             consider(prev_cost, acc)
         prev_cost = c

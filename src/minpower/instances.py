@@ -267,7 +267,7 @@ def sparsify_k_nearest(inst: Instance) -> Instance:
     """Keep mutual/one-sided _K_NEAREST-nearest edges plus an MST to stay connected."""
     keep: set[tuple[int, int]] = set()
     for u in range(inst.n):
-        for c, v, _ in inst.adj[u][:_K_NEAREST]:
+        for c, v in inst.adj[u][:_K_NEAREST]:
             keep.add((u, v) if u < v else (v, u))
     for u, v, _ in minimum_spanning_tree(inst).edges:
         keep.add((u, v) if u < v else (v, u))

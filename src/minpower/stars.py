@@ -34,7 +34,7 @@ class Star:
 def star_at(inst: Instance, center: int, radius: float) -> Star:
     """S(center, radius): every neighbour of center within cost radius."""
     leaves = []
-    for c, v, _ in inst.adj[center]:
+    for c, v in inst.adj[center]:
         if c > radius:
             break  # adjacency is cost-sorted
         leaves.append(v)
@@ -51,7 +51,7 @@ def enumerate_stars(inst: Instance) -> list[Star]:
     return [
         star_at(inst, u, radius)
         for u in range(inst.n)
-        for radius in sorted({c for c, _, _ in inst.adj[u]})
+        for radius in sorted({c for c, _ in inst.adj[u]})
     ]
 
 

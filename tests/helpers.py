@@ -84,7 +84,7 @@ def eager_select_best_star(inst: Instance, state: CoverState) -> tuple[Star, flo
                 best_center = u
                 best_radius = radius
 
-        for c, v, _ in inst.adj[u]:
+        for c, v in inst.adj[u]:
             if prev_cost is not None and c != prev_cost:
                 consider(prev_cost, acc)
             prev_cost = c
@@ -128,7 +128,7 @@ def lp_free_exact_optimum(inst: Instance, limits: SearchLimits | None = None) ->
     start = perf_counter()
     # strong connectivity needs an outgoing arc everywhere, so level 0 is only
     # viable when a zero-cost edge provides it; incident costs cover that case
-    levels = [sorted({c for c, _, _ in inst.adj[v]}, reverse=True) for v in range(n)]
+    levels = [sorted({c for c, _ in inst.adj[v]}, reverse=True) for v in range(n)]
     order = sorted(range(n), key=lambda v: (-len(inst.adj[v]), v))
     suffix_min = [0.0] * (n + 1)
     for i in reversed(range(n)):
@@ -307,7 +307,7 @@ def exhaustive_min_cut_load(inst: Instance, weights: dict[tuple[int, float], flo
     assert n <= 9
     support = []
     for (center, radius), w in sorted(weights.items()):
-        leaves = [v for c, v, _ in inst.adj[center] if c <= radius]
+        leaves = [v for c, v in inst.adj[center] if c <= radius]
         support.append((center, leaves, w))
     best_load = float("inf")
     best_subset: frozenset[int] | None = None

@@ -18,21 +18,29 @@ def test_every_exported_name_resolves():
     assert len(set(minpower.__all__)) == len(minpower.__all__)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["scripts/baseline_gap_sweep.py", "--sizes", "2,3"],
-        ["scripts/ratio_experiment.py", "--count", "2", "--nmax", "5", "--lp"],
-        ["scripts/output_digest.py", "--max-n", "3"],
-    ],
-    ids=["baseline_gap_sweep", "ratio_experiment", "output_digest"],
-)
-def test_script_runs_on_tiny_input(argv):
+# the arguments of a quick run of each script under scripts/
+SMOKE_ARGS = {
+    "baseline_gap_sweep": ["--sizes", "2,3"],
+    "output_digest": ["--max-n", "3"],
+}
+
+
+def test_every_script_has_a_smoke_run():
+    assert sorted(path.stem for path in (ROOT / "scripts").glob("*.py")) == sorted(SMOKE_ARGS)
+
+
+@pytest.mark.parametrize("script", sorted(SMOKE_ARGS))
+def test_script_runs_on_tiny_input(script):
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     proc = subprocess.run(
-        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, f"scripts/{script}.py", *SMOKE_ARGS[script]],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()

@@ -6,9 +6,11 @@ import pytest
 
 from minpower import cli
 from minpower.cli import main
-from minpower.exact import SearchLimits
-from minpower.graph import Instance
+from minpower.exact import ExactResult, SearchLimits
+from minpower.graph import Instance, PowerAssignment
+from minpower.greedy import greedy_solve
 from minpower.instances import read_instance, write_instance
+from minpower.lpbound import LpError
 
 
 @pytest.fixture()
@@ -193,6 +195,82 @@ class TestSolve:
         assert not any("proof" in key for key in record)
 
 
+class TestVerdict:
+    @pytest.fixture()
+    def r6_instance(self, tmp_path, capsys):
+        path = tmp_path / "r6.txt"
+        assert main(["gen", "family=random-geometric,n=6,kappa=2,seed=0", "--out", str(path)]) == 0
+        capsys.readouterr()
+        return path
+
+    @pytest.fixture()
+    def lp_fails(self, monkeypatch):
+        def fail(inst):
+            raise LpError("no convergence")
+
+        monkeypatch.setattr(cli, "lp_lower_bound", fail)
+
+    def test_lp_failure_is_named_in_the_record(self, r6_instance, lp_fails, capsys):
+        assert main(["solve", str(r6_instance), "--lp"]) == 2
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert record["certificates_ok"] is False
+        assert record["certificate_failures"] == ["lp_bound"]
+        assert captured.err == "lp bound failed: no convergence\n"
+
+    def test_lp_failure_outranks_a_skipped_oracle(self, r6_instance, lp_fails, capsys):
+        assert main(["solve", str(r6_instance), "--exact", "--max-exact-n", "3", "--lp"]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert record["exact_status"] == "skipped: instance too large"
+        assert record["certificate_failures"] == ["lp_bound"]
+
+    def test_bench_counts_lp_failures(self, lp_fails, capsys):
+        args = ["bench", "--spec", "family=random-geometric,n=5,kappa=2", "--seeds", "0:2", "--lp"]
+        assert main(args) == 2
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+        assert summary["instances"] == 2
+        assert summary["certificate_failures"] == 2
+
+    def test_bench_failure_outranks_skipped_oracles(self, lp_fails, capsys):
+        args = ["bench", "--spec", "family=random-geometric,n=5,kappa=2", "--seeds", "0:2"]
+        assert main(args + ["--exact", "--max-exact-n", "3"]) == 3
+        capsys.readouterr()
+        assert main(args + ["--exact", "--max-exact-n", "3", "--lp"]) == 2
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+        assert summary["certificate_failures"] == 2
+        assert summary["exact_not_optimal"] == 2
+
+    def test_greedy_above_ratio_of_opt_fails(self, r6_instance, monkeypatch, capsys):
+        def half_greedy(inst, limits):
+            opt = greedy_solve(inst).total_power / 2
+            return ExactResult("optimal", opt, PowerAssignment((opt,) + (0.0,) * (inst.n - 1)), 0)
+
+        monkeypatch.setattr(cli, "exact_optimum", half_greedy)
+        assert main(["solve", str(r6_instance), "--exact"]) == 2
+        record = json.loads(capsys.readouterr().out)
+        assert "greedy_within_ratio_of_opt" in record["certificate_failures"]
+        assert record["certificates_ok"] is False
+
+    @pytest.mark.parametrize(
+        "values, broken",
+        [
+            ((1.0, 1.5, 0.9, None), ["mst_within_opt"]),
+            ((1.0, 1.5, 1.6, None), ["opt_within_greedy"]),
+            ((1.0, 2.0, 1.0, None), ["greedy_within_ratio_of_opt"]),
+            ((1.0, 1.5, None, 0.9), ["mst_within_lp"]),
+            ((1.0, 1.5, None, 1.6), ["lp_within_greedy"]),
+            ((1.0, 2.0, None, 1.0), ["greedy_within_ratio_of_lp"]),
+            ((1.0, 1.5, 1.2, 1.3), ["lp_within_opt"]),
+            ((1.0, 1.5, 1.2, 1.1), []),
+            # the slack is relative: an LP value at the cut tolerance below
+            # c(MST), or an optimum just below it, passes at large costs
+            ((1e6, 1.5e6, 1e6 * (1 - 1e-10), 1e6 * (1 - 1e-7)), []),
+        ],
+    )
+    def test_each_inequality_of_the_bracket(self, values, broken):
+        assert cli._bracket_failures(*values) == broken
+
+
 class TestTolerance:
     @pytest.fixture()
     def r8_instance(self, tmp_path):
@@ -375,6 +453,20 @@ class TestHostileSpecs:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("value", ["0", "-3", "two"])
+    @pytest.mark.parametrize("extra", [["--exact"], []])
+    def test_max_exact_n_below_1_exits_1(self, line_instance, capsys, value, extra):
+        for argv in (
+            ["solve", str(line_instance)],
+            ["bench", "--spec", "family=line,n=3", "--seeds", "0:1"],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + extra + ["--max-exact-n", value])
+            assert exc.value.code == 1
+            captured = capsys.readouterr()
+            assert f"argument --max-exact-n: expected an integer of at least 1, got '{value}'" in captured.err
+            assert captured.out == ""
+
     def test_unknown_subcommand_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -136,7 +136,7 @@ class TestVerifyAssignment:
         rng = random.Random(67)
         for _ in range(20):
             inst = helpers.random_connected_instance(rng, rng.randint(2, 8))
-            levels = tuple(max(c for c, _, _ in inst.adj[v]) for v in range(inst.n))
+            levels = tuple(max(c for c, _ in inst.adj[v]) for v in range(inst.n))
             assert verify_assignment(inst, PowerAssignment(levels))
 
 

@@ -291,8 +291,8 @@ class TestCrossingStarPairs:
             inst = helpers.random_connected_instance(rng, rng.randint(2, 7))
             tree = minimum_spanning_tree(inst)
             for idx, (u, v, c) in enumerate(tree.edges):
-                su = Star(u, c, frozenset(x for cc, x, _ in inst.adj[u] if cc <= c))
-                sv = Star(v, c, frozenset(x for cc, x, _ in inst.adj[v] if cc <= c))
+                su = Star(u, c, frozenset(x for cc, x in inst.adj[u] if cc <= c))
+                sv = Star(v, c, frozenset(x for cc, x in inst.adj[v] if cc <= c))
                 weight = sum(
                     0.5 for s in (su, sv) if idx in helpers.pairwise_cover(tree, s)
                 )

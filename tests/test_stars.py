@@ -19,7 +19,7 @@ def path_abc():
 
 
 def star_of(inst, center, radius):
-    leaves = frozenset(v for c, v, _ in inst.adj[center] if c <= radius)
+    leaves = frozenset(v for c, v in inst.adj[center] if c <= radius)
     return Star(center, radius, leaves)
 
 
