@@ -27,21 +27,18 @@ from minpower.greedy import _REL_TOL, _leq, certify, greedy_solve, ratio_bound
 from minpower.instances import (
     GeneratorSpec,
     read_assignment,
+    read_generator_comment,
     read_instance,
     write_assignment,
     write_instance,
 )
-from minpower.lpbound import LpError, lp_lower_bound
+from minpower.lpbound import _VALUE_TOL, LpError, lp_lower_bound
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CERT = 2
 EXIT_INCONCLUSIVE = 3
 
-# the bracket checks take the relative slack of greedy's certificates, and 1e-6
-# wherever the LP value takes part, since it may sit up to the 1e-7 cut
-# tolerance below the LP optimum
-_LP_REL_TOL = 1e-6
 _RATIO = ratio_bound(0.5)
 
 _SEVERITY = (EXIT_OK, EXIT_INCONCLUSIVE, EXIT_CERT)  # a certificate failure outranks the rest
@@ -128,7 +125,9 @@ class RunReport:
 
 def _bracket_failures(c_mst: float, greedy: float, opt: float | None, lp: float | None) -> list[str]:
     """Names of the bracket's inequalities that the values break; opt and lp are
-    None where the oracle proved no optimum or the LP did not run."""
+    None where the oracle proved no optimum or the LP did not run.  The slack is
+    relative, and lpbound's _VALUE_TOL wherever the LP value takes part: the
+    ladder _CUT_TOL <= _VALUE_TOL makes it cover the LP's shortfall."""
     checks = []
     if opt is not None:
         checks += [
@@ -138,12 +137,12 @@ def _bracket_failures(c_mst: float, greedy: float, opt: float | None, lp: float 
         ]
     if lp is not None:
         checks += [
-            ("mst_within_lp", c_mst, lp, _LP_REL_TOL),
-            ("lp_within_greedy", lp, greedy, _LP_REL_TOL),
-            ("greedy_within_ratio_of_lp", greedy, _RATIO * lp, _LP_REL_TOL),
+            ("mst_within_lp", c_mst, lp, _VALUE_TOL),
+            ("lp_within_greedy", lp, greedy, _VALUE_TOL),
+            ("greedy_within_ratio_of_lp", greedy, _RATIO * lp, _VALUE_TOL),
         ]
         if opt is not None:
-            checks.append(("lp_within_opt", lp, opt, _LP_REL_TOL))
+            checks.append(("lp_within_opt", lp, opt, _VALUE_TOL))
     return [name for name, a, b, tol in checks if not _leq(a, b, tol)]
 
 
@@ -220,24 +219,6 @@ def _solve_instance(
     return report
 
 
-def _read_generator_comment(path: str) -> str | None:
-    try:
-        with open(path) as fh:
-            for raw in fh:
-                line = raw.strip()
-                if not line:
-                    continue
-                if line.startswith("#"):
-                    body = line.lstrip("#").strip()
-                    if body.startswith("generator:"):
-                        return body.partition(":")[2].strip()
-                    continue
-                break
-    except OSError:
-        return None
-    return None
-
-
 def cmd_gen(args: argparse.Namespace) -> int:
     try:
         spec = GeneratorSpec.parse(args.spec)
@@ -260,14 +241,9 @@ def cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit(report: RunReport, fmt: str, out_path: str | None, out_lines: list[str]) -> None:
-    if fmt == "table":
-        print(report.table())
-        print()
-    else:
-        print(report.record())
-    if out_path is not None:
-        out_lines.append(report.record())
+def _show(report: RunReport, fmt: str) -> RunReport:
+    print(report.table() + "\n" if fmt == "table" else report.record())
+    return report
 
 
 def _write_records(command: str, path: str, lines: list[str]) -> bool:
@@ -285,21 +261,25 @@ def _write_records(command: str, path: str, lines: list[str]) -> bool:
     return True
 
 
+def _finish(command: str, out: str | None, reports: list[RunReport], *extra: str) -> int:
+    """Write the reports' records and the extra lines to out, if given, and
+    return the most severe exit status among the reports."""
+    if out is not None and not _write_records(command, out, [*(r.record() for r in reports), *extra]):
+        return EXIT_USAGE
+    return max((r.exit_status() for r in reports), key=_SEVERITY.index, default=EXIT_OK)
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         inst = read_instance(args.instance)
+        meta = read_generator_comment(args.instance)
     except (OSError, InstanceError) as exc:
         print(f"solve: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.out is not None and not _write_records("solve", args.out, []):
         return EXIT_USAGE
-    meta = _read_generator_comment(args.instance)
     report = _solve_instance(inst, args.instance, meta, args.exact, args.lp, args.max_exact_n)
-    out_lines: list[str] = []
-    _emit(report, args.format, args.out, out_lines)
-    if args.out is not None and not _write_records("solve", args.out, out_lines):
-        return EXIT_USAGE
-    return report.exit_status()
+    return _finish("solve", args.out, [_show(report, args.format)])
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -340,12 +320,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.out is not None and not _write_records("bench", args.out, []):
         return EXIT_USAGE
 
-    out_lines: list[str] = []
-    worst: dict[str, float] = {}
-    count = 0
-    cert_failures = 0
-    inconclusive = 0
-    code = EXIT_OK
+    reports: list[RunReport] = []
     for spec in specs:
         run_seeds = seeds if spec.family == "random-geometric" else [spec.seed]
         for seed in run_seeds:
@@ -355,32 +330,25 @@ def cmd_bench(args: argparse.Namespace) -> int:
             except (ValueError, InstanceError) as exc:
                 print(f"bench: {spec_i.canonical()}: {exc}", file=sys.stderr)
                 return EXIT_USAGE
-            report = _solve_instance(
-                inst, spec_i.canonical(), spec_i.canonical(), args.exact, args.lp, args.max_exact_n
-            )
-            _emit(report, args.format, args.out, out_lines)
-            count += 1
-            for name, value in report.ratios.items():
-                worst[name] = max(worst.get(name, 0.0), value)
-            cert_failures += not report.certificates_ok
-            inconclusive += report.exact_not_optimal
-            code = max(code, report.exit_status(), key=_SEVERITY.index)
+            label = spec_i.canonical()
+            report = _solve_instance(inst, label, label, args.exact, args.lp, args.max_exact_n)
+            reports.append(_show(report, args.format))
 
+    worst: dict[str, float] = {}
+    for report in reports:
+        for name, value in report.ratios.items():
+            worst[name] = max(worst.get(name, 0.0), value)
     summary = {
         "summary": {
-            "instances": count,
-            "certificate_failures": cert_failures,
-            "exact_not_optimal": inconclusive,
-            "worst_ratios": {k: worst[k] for k in sorted(worst)},
+            "instances": len(reports),
+            "certificate_failures": sum(not r.certificates_ok for r in reports),
+            "exact_not_optimal": sum(r.exact_not_optimal for r in reports),
+            "worst_ratios": worst,  # sort_keys orders it
         }
     }
     summary_line = json.dumps(summary, sort_keys=True)
     print(summary_line)
-    if args.out is not None:
-        out_lines.append(summary_line)
-        if not _write_records("bench", args.out, out_lines):
-            return EXIT_USAGE
-    return code
+    return _finish("bench", args.out, reports, summary_line)
 
 
 def _vertex_count(text: str) -> int:

@@ -26,9 +26,10 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Mapping
 
+from minpower import lpbound
 from minpower.graph import Instance, PowerAssignment, induced_arcs, is_strongly_connected
 from minpower.greedy import greedy_solve
-from minpower.lpbound import _CERT_TOL, LpError, StarKey, lp_lower_bound
+from minpower.lpbound import _CERT_TOL, LpError, StarKey
 
 
 @dataclass(frozen=True)
@@ -122,8 +123,6 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
     n = inst.n
     if n > limits.max_vertices:
         raise ValueError(f"instance has {n} vertices, limit is {limits.max_vertices}")
-    if n == 1:
-        return ExactResult("optimal", 0.0, PowerAssignment((0.0,)), 0, proof="lp")
 
     start = perf_counter()
     incumbent = greedy_solve(inst)
@@ -131,7 +130,7 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
     best_assign = list(incumbent.powers.levels)
 
     try:
-        frac = lp_lower_bound(inst)
+        frac = lpbound.lp_lower_bound(inst)  # looked up on the module, so wrappers set there apply
     except LpError:
         certified = -math.inf  # no bound: only a finished search proves optimality
     else:

@@ -39,9 +39,11 @@ class Instance:
         """Validate, normalize, and build a connected instance.
 
         Raises InstanceError on self-loops, out-of-range ids, duplicate pairs,
-        negative or non-finite costs, and disconnected graphs.  Each edge is
-        checked as it is drawn from the iterable, so a lazy caller such as
-        read_instance can attribute an edge error to the edge it just yielded.
+        negative or non-finite costs, disconnected graphs, and costs whose
+        2 * sum over v of v's largest incident cost, which bounds every total
+        the package forms, overflows.  Each edge is checked as it is drawn from
+        the iterable, so a lazy caller such as read_instance can attribute an
+        edge error to the edge it just yielded.
         """
         if n < 1:
             raise InstanceError(f"vertex count must be positive, got {n}")
@@ -63,6 +65,8 @@ class Instance:
         inst = cls(n, tuple(norm))
         if not inst.is_connected():
             raise InstanceError("instance not connected")
+        if not isfinite(2.0 * sum(incident[-1][0] for incident in inst.adj if incident)):
+            raise InstanceError("costs too large: the total power overflows")
         return inst
 
     @property

@@ -1,12 +1,13 @@
 """Greedy star-cover solver for minimum-power strong connectivity.
 
 Starting from the bidirected minimum spanning tree, the solver repeatedly
-picks the star maximizing coverage gained per unit of power (0/0 counts as 1),
-drops the newly covered arcs from the surviving tree arc set, and stops once
-every tree edge is covered.  The output is the union of the chosen stars' arcs
-with the surviving arcs; it is always spanning and strongly connected, and its
-power is at most the tree cost plus the total star power, hence at most twice
-the tree cost.
+picks the star maximizing coverage gained per unit of power, drops the newly
+covered arcs from the surviving tree arc set, and stops once every tree edge
+is covered.  No ratio is 0/0: zero-cost tree edges are covered up front by
+radius-0 stars, and stars that gain nothing are skipped.  The output is the
+union of the chosen stars' arcs with the surviving arcs; it is always spanning
+and strongly connected, and its power is at most the tree cost plus the total
+star power, hence at most twice the tree cost.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ def _leq(a: float, b: float, tol: float = _REL_TOL) -> bool:
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """One greedy iteration: the chosen star, its coverage gain, its power."""
+    """One greedy iteration: the chosen star and its coverage gain; the star's
+    radius is its power."""
 
     star: Star
     gain: float
-    power: float
 
 
 @dataclass(frozen=True)
@@ -188,8 +189,9 @@ def select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
 def _precover_zero_edges(state: CoverState) -> list[TraceEntry]:
     """Cover zero-cost tree edges up front with their own radius-0 stars.
 
-    Keeps the main loop's residual coverage strictly positive, so the 0/0 = 1
-    ratio convention never has to arbitrate between free stars and real ones.
+    Every tree edge left uncovered then costs more than 0, so no radius-0 star
+    gains anything in the main loop, which skips stars that gain nothing; no
+    ratio there is 0/0.
     """
     entries: list[TraceEntry] = []
     label = state.label
@@ -199,7 +201,7 @@ def _precover_zero_edges(state: CoverState) -> list[TraceEntry]:
         star = star_at(state.inst, min(a, b), 0.0)
         gain, new_arcs = marginal_gain(state, star)
         apply_star(state, star, new_arcs)
-        entries.append(TraceEntry(star, gain, 0.0))
+        entries.append(TraceEntry(star, gain))
     return entries
 
 
@@ -218,14 +220,14 @@ def greedy_solve(inst: Instance) -> Solution:
                 f"{scan_gain} vs {gain}"
             )
         apply_star(state, star, new_arcs)
-        trace.append(TraceEntry(star, gain, star.power))
+        trace.append(TraceEntry(star, gain))
 
     residual = state.residual_arcs()
     arcs = set(residual)
     for star in state.chosen:
         arcs |= star.arcs()
     powers = power_of(inst, arcs)
-    star_power = float(sum(entry.power for entry in trace))
+    star_power = float(sum(entry.star.radius for entry in trace))
     return Solution(
         inst=inst,
         tree=tree,
@@ -255,7 +257,7 @@ def certify(solution: Solution) -> CertificateReport:
     stars_ok = _leq(solution.star_power, solution.tree_cost)
     twice_ok = _leq(total, 2.0 * solution.tree_cost)
     gains_ok = all(
-        entry.power == 0.0 or _leq(entry.power, entry.gain)
+        entry.star.radius == 0.0 or _leq(entry.star.radius, entry.gain)
         for entry in solution.trace
     )
     residual_ok = all(

@@ -18,16 +18,20 @@ seeded random-geometric family for sweeps:
   seed) across platforms.
 
 Instance files: first non-comment line "n m", then m lines "u v cost" with
-0-based dense ids; '#' starts a comment line.  Costs are written with 17
-significant digits so write/read round-trips are bit-exact.  Assignment files
-hold one "v power" line per vertex.
+0-based dense ids; '#' starts a comment line, and a "# generator: SPEC"
+comment ahead of the header names the spec that built the instance.  Costs
+are written with 17 significant digits so write/read round-trips are
+bit-exact.  Assignment files hold one "v power" line per vertex.  All files
+are UTF-8, whatever the locale.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 from minpower.graph import Instance, InstanceError, PowerAssignment, minimum_spanning_tree
 
@@ -290,29 +294,58 @@ def write_instance(inst: Instance, path: str, comments: tuple[str, ...] = ()) ->
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
 
 
-def read_instance(path: str) -> Instance:
-    """Parse and validate an instance file; errors carry 1-based line numbers.
+@contextmanager
+def _text_lines(path: str) -> Iterator[Iterator[str]]:
+    """The stripped lines of a UTF-8 text file, for the readers below.
 
-    Edges reach Instance.from_edges as they are parsed, so an error it raises
-    while validating an edge names that edge's line; the edge count and the
-    connectivity check name only the file.  A header promising fewer than
-    n - 1 edges is rejected before anything of size n is built.
+    An InstanceError raised in the with block, by the lines or by the caller,
+    leaves it naming the file and the 1-based number of the line last read,
+    or the file alone once every line has been read.
     """
-    lineno: int | None = None  # data line being parsed or validated, if any
+    lineno: int | None = None
 
-    def data_lines(fh):
+    def lines() -> Iterator[str]:
         nonlocal lineno
         for lineno, raw in enumerate(fh, 1):
             if _NOT_UTF8.search(raw):
                 raise InstanceError("not UTF-8 text")
-            line = raw.strip()
-            if line and not line.startswith("#"):
-                yield line.split()
+            yield raw.strip()
         lineno = None
 
-    def edges(lines, m: int):
+    try:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            yield lines()
+    except InstanceError as exc:
+        where = path if lineno is None else f"{path}:{lineno}"
+        raise InstanceError(f"{where}: {exc}") from None
+
+
+def read_generator_comment(path: str) -> str | None:
+    """The spec of a "# generator: SPEC" line among the comments that open an
+    instance file, as gen writes it; None if there is none."""
+    with _text_lines(path) as lines:
+        for line in lines:
+            if line and not line.startswith("#"):
+                break
+            body = line.lstrip("#").strip()
+            if body.startswith("generator:"):
+                return body.partition(":")[2].strip()
+    return None
+
+
+def read_instance(path: str) -> Instance:
+    """Parse and validate an instance file; errors carry 1-based line numbers.
+
+    Edges reach Instance.from_edges as they are parsed, so an error it raises
+    while validating an edge names that edge's line; the edge count, the
+    connectivity and the overflow checks name only the file.  A header
+    promising fewer than n - 1 edges is rejected before anything of size n is
+    built.
+    """
+
+    def edges(data, m: int):
         count = 0
-        for parts in lines:
+        for parts in data:
             if len(parts) != 3:
                 raise InstanceError("expected 'u v cost'")
             try:
@@ -324,26 +357,22 @@ def read_instance(path: str) -> Instance:
         if count != m:
             raise InstanceError(f"header promises {m} edges, found {count}")
 
-    try:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            lines = data_lines(fh)
-            header = next(lines, None)
-            if header is None:
-                raise InstanceError("no header line found")
-            if len(header) != 2:
-                raise InstanceError("expected 'n m' header")
-            try:
-                n, m = int(header[0]), int(header[1])
-            except ValueError:
-                raise InstanceError("non-integer header") from None
-            if m < n - 1:
-                raise InstanceError(
-                    f"instance not connected: header promises {m} edges for {n} vertices"
-                )
-            return Instance.from_edges(n, edges(lines, m))
-    except InstanceError as exc:
-        where = path if lineno is None else f"{path}:{lineno}"
-        raise InstanceError(f"{where}: {exc}") from None
+    with _text_lines(path) as lines:
+        data = (line.split() for line in lines if line and not line.startswith("#"))
+        header = next(data, None)
+        if header is None:
+            raise InstanceError("no header line found")
+        if len(header) != 2:
+            raise InstanceError("expected 'n m' header")
+        try:
+            n, m = int(header[0]), int(header[1])
+        except ValueError:
+            raise InstanceError("non-integer header") from None
+        if m < n - 1:
+            raise InstanceError(
+                f"instance not connected: header promises {m} edges for {n} vertices"
+            )
+        return Instance.from_edges(n, edges(data, m))
 
 
 def write_assignment(assignment: PowerAssignment, path: str) -> None:
@@ -361,26 +390,23 @@ def read_assignment(path: str, n: int) -> PowerAssignment:
     """
     levels = [0.0] * n
     seen: set[int] = set()
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            if _NOT_UTF8.search(raw):
-                raise InstanceError(f"{path}:{lineno}: not UTF-8 text")
-            line = raw.strip()
+    with _text_lines(path) as lines:
+        for line in lines:
             if not line or line.startswith("#"):
                 continue
             parts = line.split()
             if len(parts) != 2:
-                raise InstanceError(f"{path}:{lineno}: expected 'v power'")
+                raise InstanceError("expected 'v power'")
             try:
                 v, power = int(parts[0]), float(parts[1])
             except ValueError:
-                raise InstanceError(f"{path}:{lineno}: malformed assignment line") from None
+                raise InstanceError("malformed assignment line") from None
             if not 0 <= v < n:
-                raise InstanceError(f"{path}:{lineno}: vertex {v} out of range")
+                raise InstanceError(f"vertex {v} out of range")
             if not math.isfinite(power) or power < 0.0:
-                raise InstanceError(f"{path}:{lineno}: bad power {power!r} for vertex {v}")
+                raise InstanceError(f"bad power {power!r} for vertex {v}")
             if v in seen:
-                raise InstanceError(f"{path}:{lineno}: duplicate vertex {v}")
+                raise InstanceError(f"duplicate vertex {v}")
             seen.add(v)
             levels[v] = power
     return PowerAssignment(tuple(levels))

@@ -28,7 +28,9 @@ from minpower.stars import Star, enumerate_stars, star_at
 # The ladder _FEAS_TOL < _CUT_TOL <= _VALUE_TOL keeps the value a bound: a cut
 # tolerance tau only guarantees value >= (1 - tau) LP, and one at or below the
 # master's feasibility slack lets separation return a row the master already
-# has (tau = 0 does on random-geometric n=17 kappa=2 seed=1).
+# has (tau = 0 does on random-geometric n=17 kappa=2 seed=1).  _VALUE_TOL is
+# also the CLI bracket's relative slack wherever the value takes part, and
+# _CUT_TOL <= _VALUE_TOL is what makes it cover the value's shortfall below LP.
 _FEAS_TOL = 1e-9  # simplex pivot / feasibility
 _CUT_TOL = 1e-7  # cut violation threshold
 _VALUE_TOL = 1e-6  # reported-value agreement

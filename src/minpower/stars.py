@@ -23,10 +23,6 @@ class Star:
     radius: float
     leaves: frozenset[int]
 
-    @property
-    def power(self) -> float:
-        return self.radius
-
     def arcs(self) -> set[Arc]:
         return {(self.center, v) for v in self.leaves}
 

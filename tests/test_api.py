@@ -57,6 +57,17 @@ def test_greedy_digest_is_pinned(monkeypatch):
     assert digest(specs, greedy_lines) == "a00cefe9d1d3f340"
 
 
+def test_lp_digest_is_pinned(monkeypatch):
+    # value (float hex), rounds, constraints and simplex pivots of the LP bound
+    # on the 92-instance corpus; a change that moves it must say why
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from output_digest import LP_SPECS, digest, lp_lines
+
+    specs = [minpower.GeneratorSpec.parse(text) for text in LP_SPECS]
+    assert len(specs) == 92
+    assert digest(specs, lp_lines) == "f44cd237cb3c2de4"
+
+
 def test_exact_digest_is_pinned(monkeypatch):
     # status and optimum (float hex) of the exact oracle on the oracle-sweep
     # corpus plus two more; the LP certificate must reach the same optimum, to

@@ -1,6 +1,10 @@
 import functools
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -140,6 +144,30 @@ class TestSolve:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "latin1.txt:1: not UTF-8 text" in captured.err
+
+    def test_overflowing_costs_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text("2 1\n0 1 1e308\n")
+        assert main(["solve", str(path), "--exact", "--lp"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"solve: {path}: costs too large: the total power overflows\n"
+
+    def test_generator_comment_is_utf8_in_any_locale(self, tmp_path):
+        # under the C locale with no UTF-8 mode, open() defaults to ASCII
+        path = tmp_path / "u.txt"
+        path.write_bytes("# generator: café\n2 1\n0 1 1.0\n".encode())
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=pythonpath)
+        proc = subprocess.run(
+            [sys.executable, "-m", "minpower.cli", "solve", str(path)],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["meta"] == "café"
 
     def test_records_are_deterministic(self, line_instance, tmp_path):
         out1, out2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"

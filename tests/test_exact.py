@@ -3,7 +3,7 @@ import random
 import pytest
 
 import helpers
-from minpower import exact
+from minpower import lpbound
 from minpower.exact import (
     SearchLimits,
     brute_force_optimum,
@@ -113,7 +113,7 @@ class TestLpFreeDifferential:
         def failing_lp(inst):
             raise LpError("injected")
 
-        monkeypatch.setattr(exact, "lp_lower_bound", failing_lp)
+        monkeypatch.setattr(lpbound, "lp_lower_bound", failing_lp)
         for n, kappa, seed in ((6, 2.0, 0), (7, 1.0, 3), (8, 2.0, 5), (8, 4.0, 17)):
             inst = gen_random_geometric(n, kappa, seed)
             res = exact_optimum(inst)

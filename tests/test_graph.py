@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,19 @@ class TestInstanceValidation:
     def test_out_of_range_rejected(self):
         with pytest.raises(InstanceError, match="outside vertex range"):
             Instance.from_edges(2, [(0, 2, 1.0)])
+
+    def test_overflowing_total_power_rejected(self):
+        # each cost is finite, but twice the sum of the vertices' largest
+        # incident costs, which bounds every total power, is not
+        with pytest.raises(InstanceError, match="costs too large: the total power overflows"):
+            Instance.from_edges(2, [(0, 1, 1e308)])
+        # the optimum 2c is finite here, but 1.85 times it is not
+        with pytest.raises(InstanceError, match="total power overflows"):
+            Instance.from_edges(2, [(0, 1, sys.float_info.max / 3)])
+
+    def test_largest_total_power_accepted(self):
+        big = sys.float_info.max / 4  # 2 * (big + big) is the largest finite float
+        assert Instance.from_edges(2, [(0, 1, big)]).cost(0, 1) == big
 
     def test_zero_cost_allowed(self):
         inst = Instance.from_edges(2, [(0, 1, 0.0)])

@@ -57,7 +57,7 @@ class TestGreedySolve:
         from minpower.graph import is_strongly_connected
 
         assert is_strongly_connected(inst, sol.arcs)
-        zero_picks = [e for e in sol.trace if e.power == 0.0]
+        zero_picks = [e for e in sol.trace if e.star.radius == 0.0]
         assert zero_picks, "zero-cost tree edge should be covered by a radius-0 star"
         assert certify(sol).all_passed
 
@@ -244,7 +244,7 @@ class TestGreedyInvariants:
             sol = greedy_solve(inst)
             running = 0.0
             for entry in sol.trace:
-                assert entry.gain > 0.0 or entry.power == 0.0
+                assert entry.gain > 0.0 or entry.star.radius == 0.0
                 running += entry.gain
             assert running == pytest.approx(sol.tree_cost, rel=1e-9)
 
@@ -264,8 +264,8 @@ class TestGreedyInvariants:
             inst = helpers.random_connected_instance(rng, rng.randint(2, 10))
             sol = greedy_solve(inst)
             for entry in sol.trace:
-                if entry.power > 0.0:
-                    assert entry.gain >= entry.power
+                if entry.star.radius > 0.0:
+                    assert entry.gain >= entry.star.radius
 
 
 class TestCostScaling:
