@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 from time import perf_counter
 
 from minpower.exact import SearchLimits, exact_optimum, verify_assignment
-from minpower.graph import Instance, InstanceError, bidirect, minimum_spanning_tree, power_of
+from minpower.graph import Instance, InstanceError, bidirect, power_of
 from minpower.greedy import _REL_TOL, _leq, certify, greedy_solve, ratio_bound
 from minpower.instances import (
     GeneratorSpec,
@@ -32,7 +32,7 @@ from minpower.instances import (
     write_assignment,
     write_instance,
 )
-from minpower.lpbound import _VALUE_TOL, LpError, lp_lower_bound
+from minpower.lpbound import _VALUE_TOL, FractionalSolution, LpError, lp_lower_bound
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -157,11 +157,6 @@ def _solve_instance(
     timings: dict[str, float] = {}
 
     t0 = perf_counter()
-    tree = minimum_spanning_tree(inst)
-    mst_power = power_of(inst, bidirect(tree)).total
-    timings["mst"] = perf_counter() - t0
-
-    t0 = perf_counter()
     solution = greedy_solve(inst)
     cert = certify(solution)
     timings["greedy"] = perf_counter() - t0
@@ -171,8 +166,8 @@ def _solve_instance(
         n=inst.n,
         m=inst.m,
         meta=meta,
-        c_mst=tree.total_cost,
-        mst_power=mst_power,
+        c_mst=solution.tree_cost,
+        mst_power=power_of(inst, bidirect(solution.tree)).total,
         greedy_power=solution.total_power,
         greedy_iterations=solution.iterations,
         star_power=solution.star_power,
@@ -181,6 +176,7 @@ def _solve_instance(
     )
 
     opt: float | None = None  # the optimum, once the oracle has proved it
+    frac: FractionalSolution | None = None  # the LP, once solved
     if want_exact:
         if inst.n > max_exact_n:
             report.exact_status = "skipped: instance too large"
@@ -194,26 +190,28 @@ def _solve_instance(
             report.exact_proof = exact.proof
             if exact.optimal:
                 opt = exact.opt
+            frac = exact.bound
 
     lp: float | None = None  # the unrounded bound, once computed
     if want_lp:
-        t0 = perf_counter()
-        try:
-            frac = lp_lower_bound(inst)
-        except LpError as exc:
-            print(f"lp bound failed: {exc}", file=sys.stderr)
-            report.certificate_failures.append("lp_bound")
-        else:
+        if frac is None:  # no oracle ran, or its LP raised LpError, which this call raises again
+            t0 = perf_counter()
+            try:
+                frac = lp_lower_bound(inst)
+            except LpError as exc:
+                print(f"lp bound failed: {exc}", file=sys.stderr)
+                report.certificate_failures.append("lp_bound")
+            timings["lp"] = perf_counter() - t0
+        if frac is not None:
             lp = frac.value
             report.lp_value = round(lp, 6)
             report.lp_rounds = frac.rounds
             report.lp_pivots = frac.pivots
-        timings["lp"] = perf_counter() - t0
 
-    report.certificate_failures += _bracket_failures(tree.total_cost, solution.total_power, opt, lp)
+    report.certificate_failures += _bracket_failures(solution.tree_cost, solution.total_power, opt, lp)
     if opt is not None and opt > 0:
         report.ratios["greedy_vs_exact"] = round(solution.total_power / opt, 6)
-        report.ratios["mst_vs_exact"] = round(mst_power / opt, 6)
+        report.ratios["mst_vs_exact"] = round(report.mst_power / opt, 6)
     if lp is not None and lp > 0:
         report.ratios["greedy_vs_lp"] = round(solution.total_power / lp, 6)
     return report
@@ -242,7 +240,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _show(report: RunReport, fmt: str) -> RunReport:
-    print(report.table() + "\n" if fmt == "table" else report.record())
+    text = report.table() + "\n" if fmt == "table" else report.record()
+    # records are ASCII JSON; a table may hold text the locale cannot encode
+    encoding = sys.stdout.encoding or "utf-8"
+    print(text.encode(encoding, "backslashreplace").decode(encoding))
     return report
 
 

@@ -29,7 +29,7 @@ from typing import Mapping
 from minpower import lpbound
 from minpower.graph import Instance, PowerAssignment, induced_arcs, is_strongly_connected
 from minpower.greedy import greedy_solve
-from minpower.lpbound import _CERT_TOL, LpError, StarKey
+from minpower.lpbound import _CERT_TOL, FractionalSolution, LpError, StarKey
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,7 @@ class ExactResult:
     nodes: int
     limit: str | None = None  # the SearchLimits field that stopped an inconclusive search
     proof: str | None = None  # "lp" (the LP bound, no search) or "search"; None if inconclusive
+    bound: FractionalSolution | None = None  # the LP the oracle solved; None if it raised LpError
 
     @property
     def optimal(self) -> bool:
@@ -117,7 +118,8 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
     tried from high to low, and a branch is cut once its committed power plus
     the minimum completion cannot beat the incumbent.  The search stops once
     the incumbent meets the LP bound, or once a limit trips.  An LpError
-    leaves the search to prove optimality on its own.
+    leaves the search to prove optimality on its own.  The result carries the
+    LP as its bound, so callers that report the LP need not solve it again.
     """
     limits = limits or SearchLimits()
     n = inst.n
@@ -129,6 +131,7 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
     best = incumbent.total_power
     best_assign = list(incumbent.powers.levels)
 
+    frac: FractionalSolution | None = None
     try:
         frac = lpbound.lp_lower_bound(inst)  # looked up on the module, so wrappers set there apply
     except LpError:
@@ -141,7 +144,9 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
             best = total
             best_assign = rounded
         if best <= certified:
-            return ExactResult("optimal", best, PowerAssignment(tuple(best_assign)), 0, proof="lp")
+            return ExactResult(
+                "optimal", best, PowerAssignment(tuple(best_assign)), 0, proof="lp", bound=frac
+            )
 
     # strong connectivity needs an outgoing arc everywhere, so level 0 is only
     # viable when a zero-cost edge provides it; incident costs cover that case
@@ -191,7 +196,7 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
 
     dfs(0, 0.0)
     status, proof = ("optimal", "search") if limit is None else ("inconclusive", None)
-    return ExactResult(status, best, PowerAssignment(tuple(best_assign)), nodes, limit, proof)
+    return ExactResult(status, best, PowerAssignment(tuple(best_assign)), nodes, limit, proof, frac)
 
 
 def brute_force_optimum(inst: Instance) -> tuple[float, PowerAssignment]:

@@ -31,7 +31,9 @@ _REL_TOL = 1e-9
 
 
 def _leq(a: float, b: float, tol: float = _REL_TOL) -> bool:
-    return a <= b + tol * max(1.0, abs(b))
+    """a <= b up to a slack relative to b, with no absolute floor: tiny costs
+    get no more room than large ones."""
+    return a <= b + tol * abs(b)
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,7 @@ def greedy_solve(inst: Instance) -> Solution:
     while not state.all_covered:
         star, scan_gain = select_best_star(inst, state)
         gain, new_arcs = marginal_gain(state, star)
-        if abs(gain - scan_gain) > _REL_TOL * max(1.0, abs(gain)):
+        if abs(gain - scan_gain) > _REL_TOL * abs(gain):
             raise RuntimeError(
                 f"gain mismatch for star ({star.center}, {star.radius}): "
                 f"{scan_gain} vs {gain}"

@@ -17,6 +17,7 @@ by shortest-augmenting-path max-flow in a star-expanded network, fixing vertex
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -31,6 +32,10 @@ from minpower.stars import Star, enumerate_stars, star_at
 # has (tau = 0 does on random-geometric n=17 kappa=2 seed=1).  _VALUE_TOL is
 # also the CLI bracket's relative slack wherever the value takes part, and
 # _CUT_TOL <= _VALUE_TOL is what makes it cover the value's shortfall below LP.
+# Every slack is relative.  _CUT_TOL and the flow, x and alpha slacks apply to
+# star weights, which have no unit; the ratio-test slack applies to the costs
+# the master solves for, scaled by a power of two to a largest cost in
+# [1/2, 1).  So scaling every cost by 2^k scales the value exactly by 2^k.
 _FEAS_TOL = 1e-9  # simplex pivot / feasibility
 _CUT_TOL = 1e-7  # cut violation threshold
 _VALUE_TOL = 1e-6  # reported-value agreement
@@ -236,7 +241,7 @@ class _Master:
         y = values[:nstars]
         value = float(pi.sum())
         primal_value = float(self.costs @ y)
-        if abs(primal_value - value) > _VALUE_TOL * max(1.0, abs(value)):
+        if abs(primal_value - value) > _VALUE_TOL * abs(value):
             raise LpError(f"duality gap {primal_value} vs {value} in restricted master")
         return y, value
 
@@ -254,7 +259,9 @@ def lp_lower_bound(inst: Instance) -> FractionalSolution:
     stars = enumerate_stars(inst)
     if n == 1:
         return FractionalSolution({}, 0.0, 0, 0, 0)
-    costs = np.array([s.radius for s in stars])
+    # scale the costs exactly, by a power of two, to a largest cost in [1/2, 1)
+    exponent = math.frexp(max(s.radius for s in stars))[1]
+    costs = np.ldexp([s.radius for s in stars], -exponent)
     keys = [(s.center, s.radius) for s in stars]
     centers = np.array([s.center for s in stars])
     leaf = np.zeros((len(stars), n), dtype=bool)  # leaf[j, v]: v is a leaf of star j
@@ -285,6 +292,7 @@ def lp_lower_bound(inst: Instance) -> FractionalSolution:
         weights = {keys[j]: float(y[j]) for j in range(len(stars)) if y[j] > 1e-12}
         violation = most_violated_cut(inst, weights)
         if violation is None:
+            value = math.ldexp(value, exponent)  # back to the instance's cost scale
             return FractionalSolution(weights, value, round_no, len(seen_rows), master.pivots)
         if not add_cut(violation.subset):
             raise LpError(

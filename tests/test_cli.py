@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from minpower import cli
+from minpower import cli, graph, greedy, lpbound
 from minpower.cli import main
 from minpower.exact import ExactResult, SearchLimits
 from minpower.graph import Instance, PowerAssignment
@@ -154,20 +154,56 @@ class TestSolve:
         assert captured.err == f"solve: {path}: costs too large: the total power overflows\n"
 
     def test_generator_comment_is_utf8_in_any_locale(self, tmp_path):
-        # under the C locale with no UTF-8 mode, open() defaults to ASCII
+        # under the C locale with no UTF-8 mode, open() and stdout default to
+        # ASCII; records escape the comment as JSON, the table as Python does
         path = tmp_path / "u.txt"
         path.write_bytes("# generator: café\n2 1\n0 1 1.0\n".encode())
         src = str(Path(__file__).resolve().parent.parent / "src")
         pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", PYTHONPATH=pythonpath)
-        proc = subprocess.run(
-            [sys.executable, "-m", "minpower.cli", "solve", str(path)],
-            env=env,
-            capture_output=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["meta"] == "café"
+        for fmt in ("records", "table"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "minpower.cli", "solve", str(path), "--format", fmt],
+                env=env,
+                capture_output=True,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            if fmt == "records":
+                assert json.loads(proc.stdout)["meta"] == "café"
+            else:
+                assert proc.stdout.splitlines()[0] == f"instance        {path}  (caf\\xe9)".encode()
+
+    def test_one_lp_and_one_spanning_tree_per_instance(self, tmp_path, monkeypatch, capsys):
+        # the oracle hands the CLI the LP it solved, and the greedy its tree
+        def count_calls(name, modules):
+            calls = []
+            original = getattr(modules[0], name)
+
+            def counting(*args):
+                calls.append(args)
+                return original(*args)
+
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counting)
+            return calls
+
+        lps = count_calls("lp_lower_bound", (lpbound, cli))
+        trees = count_calls("minimum_spanning_tree", (graph, greedy, cli))
+        path = tmp_path / "r8.txt"
+        assert main(["gen", "family=random-geometric,n=8,kappa=4,seed=17", "--out", str(path)]) == 0
+        assert main(["solve", str(path), "--lp"]) == 0
+        assert (len(lps), len(trees)) == (1, 1)
+        lps.clear()
+        assert main(["solve", str(path), "--exact", "--lp"]) == 0
+        assert len(lps) == 1
+        lps.clear()
+        # seeds 0-1 of n=6 run the oracle; n=12 is above the cap, so the CLI solves the LP
+        specs = ["--spec", "family=random-geometric,n=6,kappa=2", "--spec", "family=random-geometric,n=12,kappa=1"]
+        assert main(["bench", *specs, "--seeds", "0:2", "--exact", "--lp"]) == 3
+        assert len(lps) == 4
+        assert json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]["certificate_failures"] == 0
 
     def test_records_are_deterministic(self, line_instance, tmp_path):
         out1, out2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
@@ -246,6 +282,17 @@ class TestVerdict:
         assert record["certificate_failures"] == ["lp_bound"]
         assert captured.err == "lp bound failed: no convergence\n"
 
+    def test_lp_failure_in_the_oracle_is_named_once(self, r6_instance, lp_fails, monkeypatch, capsys):
+        # the oracle proves its optimum by search, then the CLI's own LP call fails too
+        monkeypatch.setattr(lpbound, "lp_lower_bound", cli.lp_lower_bound)
+        assert main(["solve", str(r6_instance), "--exact", "--lp"]) == 2
+        captured = capsys.readouterr()
+        record = json.loads(captured.out)
+        assert record["exact_status"] == "optimal"
+        assert record["lp_value"] is None
+        assert record["certificate_failures"] == ["lp_bound"]
+        assert captured.err == "lp bound failed: no convergence\n"
+
     def test_lp_failure_outranks_a_skipped_oracle(self, r6_instance, lp_fails, capsys):
         assert main(["solve", str(r6_instance), "--exact", "--max-exact-n", "3", "--lp"]) == 2
         record = json.loads(capsys.readouterr().out)
@@ -293,6 +340,10 @@ class TestVerdict:
             # the slack is relative: an LP value at the cut tolerance below
             # c(MST), or an optimum just below it, passes at large costs
             ((1e6, 1.5e6, 1e6 * (1 - 1e-10), 1e6 * (1 - 1e-7)), []),
+            # and purely relative: tiny costs get no absolute slack
+            ((1e-12, 1e-10, 1e-12, None), ["greedy_within_ratio_of_opt"]),
+            ((1e-12, 1.5e-12, 1.2e-12, 1.3e-12), ["lp_within_opt"]),
+            ((1e-12, 1.5e-12, None, 0.9e-12), ["mst_within_lp"]),
         ],
     )
     def test_each_inequality_of_the_bracket(self, values, broken):

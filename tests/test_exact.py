@@ -78,7 +78,8 @@ class TestProof:
         res = exact_optimum(inst)
         assert (res.status, res.proof, res.nodes) == ("optimal", "lp", 0)
         assert verify_assignment(inst, res.assignment)
-        assert res.opt <= lp_lower_bound(inst).value * (1 + 1e-9)
+        assert res.bound == lp_lower_bound(inst)  # the LP it proved with
+        assert res.opt <= res.bound.value * (1 + 1e-9)
 
     def test_search_closes_what_the_bound_leaves_open(self):
         inst = gen_random_geometric(8, 4.0, 17)
@@ -86,6 +87,7 @@ class TestProof:
         res = exact_optimum(inst)
         assert (res.status, res.proof) == ("optimal", "search")
         assert res.nodes > 0
+        assert res.bound == lp_lower_bound(inst)
 
 
 def lp_free_corpus():
@@ -121,6 +123,7 @@ class TestLpFreeDifferential:
             assert (res.status, res.proof) == ("optimal", "search")
             assert res.opt.hex() == ref.opt.hex()
             assert res.nodes == ref.nodes  # the same search, with no bound to stop it
+            assert res.bound is None
 
 
 class TestVerifyAssignment:

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import numpy as np
@@ -89,6 +90,38 @@ class TestLowerBound:
         assert (second.pivots, second.rounds) == (first.pivots, first.rounds)
 
 
+class TestScaleFree:
+    """Scaling every cost by 2^k is exact in floating point, so it must scale
+    each solver's output exactly and change nothing else; tolerances that
+    are absolute in cost units break this at small scales."""
+
+    @pytest.mark.parametrize("k", [-600, -40, 40, 600])
+    @pytest.mark.parametrize("n,kappa,seed", [(6, 1.0, 1), (8, 2.0, 0), (9, 2.0, 0), (9, 4.0, 1)])
+    def test_power_of_two_scaling_commutes(self, n, kappa, seed, k):
+        inst = gen_random_geometric(n, kappa, seed)
+        scaled = Instance.from_edges(inst.n, [(u, v, math.ldexp(c, k)) for u, v, c in inst.edges])
+
+        frac, frac_k = lp_lower_bound(inst), lp_lower_bound(scaled)
+        assert frac_k.value == math.ldexp(frac.value, k)
+        assert (frac_k.rounds, frac_k.constraints, frac_k.pivots) == (
+            frac.rounds,
+            frac.constraints,
+            frac.pivots,
+        )
+        assert frac_k.weights == {(v, math.ldexp(r, k)): w for (v, r), w in frac.weights.items()}
+
+        res, res_k = exact_optimum(inst), exact_optimum(scaled)
+        assert (res_k.status, res_k.proof, res_k.nodes) == (res.status, res.proof, res.nodes)
+        assert res_k.opt == math.ldexp(res.opt, k)
+        assert res_k.assignment.levels == tuple(math.ldexp(p, k) for p in res.assignment.levels)
+
+        sol, sol_k = greedy_solve(inst), greedy_solve(scaled)
+        assert sol_k.total_power == math.ldexp(sol.total_power, k)
+        assert [(e.star.center, e.star.radius, e.gain) for e in sol_k.trace] == [
+            (e.star.center, math.ldexp(e.star.radius, k), math.ldexp(e.gain, k)) for e in sol.trace
+        ]
+
+
 class TestWarmMaster:
     """The master keeps its basis across rounds; HiGHS re-solves each row set cold."""
 
@@ -106,14 +139,15 @@ class TestWarmMaster:
 
         def recording_solve(master):
             y, value = solve(master)
-            values.append((len(rows), value))
+            # the master solves for costs scaled by a power of two; undo it
+            values.append((len(rows), value * max(costs) / master.costs.max()))
             return y, value
 
         monkeypatch.setattr(lpbound._Master, "add_row", recording_add_row)
         monkeypatch.setattr(lpbound._Master, "solve", recording_solve)
         inst = gen_random_geometric(n, kappa, seed)
-        frac = lp_lower_bound(inst)
         costs = [s.radius for s in enumerate_stars(inst)]
+        frac = lp_lower_bound(inst)
         assert len(values) == frac.rounds > 1
         assert frac.constraints == len(rows)
         for count, value in values:
