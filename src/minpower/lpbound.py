@@ -9,17 +9,19 @@ is within the same 1.85 factor of it.
 Rather than shipping the exponentially many cut rows (or the equivalent large
 flow formulation) up front, a restricted master over all canonical stars keeps
 the cut rows it has as an explicit 0/1 matrix and is solved by a revised dual
-simplex whose basis is as large as the cut set, resumed from the previous
-round's optimal basis after each new cut.  Violated cuts are found on demand
-by shortest-augmenting-path max-flow in a star-expanded network, fixing vertex
-0 as the root and running both flow directions to every other vertex.
+simplex whose basis is as large as the cut set and whose basis inverse is
+updated pivot by pivot, resumed from the previous round's optimal basis after
+each round's new cuts.  Violated cuts are found on demand by
+shortest-augmenting-path max-flow in a star-expanded network, fixing vertex 0
+as the root and running both flow directions to every other vertex; a round
+adds every violated cut that sweep finds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -33,9 +35,10 @@ from minpower.stars import Star, enumerate_stars, star_at
 # also the CLI bracket's relative slack wherever the value takes part, and
 # _CUT_TOL <= _VALUE_TOL is what makes it cover the value's shortfall below LP.
 # Every slack is relative.  _CUT_TOL and the flow, x and alpha slacks apply to
-# star weights, which have no unit; the ratio-test slack applies to the costs
-# the master solves for, scaled by a power of two to a largest cost in
-# [1/2, 1).  So scaling every cost by 2^k scales the value exactly by 2^k.
+# star weights, which have no unit; the ratio-test slack is relative to the
+# least ratio, since reduced costs fall far below 1e-9 at kappa = 20.  The
+# master solves for the costs scaled by a power of two to a largest cost in
+# [1/2, 1), so scaling every cost by 2^k scales the value exactly by 2^k.
 _FEAS_TOL = 1e-9  # simplex pivot / feasibility
 _CUT_TOL = 1e-7  # cut violation threshold
 _VALUE_TOL = 1e-6  # reported-value agreement
@@ -45,6 +48,7 @@ _VALUE_TOL = 1e-6  # reported-value agreement
 # the claim is opt <= power <= (1 + _CERT_TOL) opt.
 _CERT_TOL = 1e-9
 _MAX_ROUNDS = 10_000  # cut rounds before lp_lower_bound gives up
+_REFACTOR_PIVOTS = 50  # pivots between fresh factorizations of the basis inverse
 
 StarKey = tuple[int, float]  # (center, radius)
 
@@ -70,17 +74,6 @@ class CutViolation:
 
     subset: frozenset[int]
     load: float
-
-
-def enters_cut(star: Star, subset: frozenset[int] | set[int]) -> bool:
-    """Star enters X iff its center is outside X and it touches X."""
-    if star.center in subset:
-        return False
-    return not subset.isdisjoint(star.leaves)
-
-
-def cut_load(stars: Iterable[tuple[Star, float]], subset: frozenset[int] | set[int]) -> float:
-    return float(sum(w for star, w in stars if enters_cut(star, subset)))
 
 
 class _FlowNetwork:
@@ -140,31 +133,49 @@ def _support(inst: Instance, weights: Mapping[StarKey, float]) -> list[tuple[Sta
     ]
 
 
-def most_violated_cut(inst: Instance, weights: Mapping[StarKey, float]) -> CutViolation | None:
-    """Find the vertex subset whose entering weight falls furthest below 1.
+def _incidence(n: int, stars: list[Star]) -> tuple[np.ndarray, np.ndarray]:
+    """leaf[j, v] says v is a leaf of star j; centers[j] is star j's center."""
+    leaf = np.zeros((len(stars), n), dtype=bool)
+    for j, star in enumerate(stars):
+        leaf[j, list(star.leaves)] = True
+    return leaf, np.array([star.center for star in stars], dtype=np.intp)
+
+
+def _entering(leaf: np.ndarray, centers: np.ndarray, subset: frozenset[int]) -> np.ndarray:
+    """The cut row of subset: which stars have their center outside it and a leaf inside."""
+    inside = np.zeros(leaf.shape[1], dtype=bool)
+    inside[list(subset)] = True
+    return leaf[:, inside].any(1) & ~inside[centers]
+
+
+def violated_cuts(inst: Instance, weights: Mapping[StarKey, float]) -> list[CutViolation]:
+    """Every distinct vertex subset that one separation sweep finds violated.
 
     Builds one flow network: a node per vertex, a node per supported star, an
     arc center->star with capacity y_S, and star->leaf arcs with effectively
     infinite capacity.  Min cuts from vertex 0 to each t (subsets avoiding 0)
     and from each t back to 0 (subsets containing 0) together range over every
     proper nonempty subset; the capacities are restored before each max-flow.
-    Returns None when all loads reach 1 - _CUT_TOL.
+    Each min cut with load below 1 - _CUT_TOL is kept, once per subset; its
+    load is its cut row times the weights, checked against the flow value.
+    Sorted by load, then by subset.
     """
     n = inst.n
     if n <= 1:
-        return None
+        return []
     support = _support(inst, weights)
-    max_y = max((w for _, w in support), default=0.0)
-    inf_cap = n * max_y + 1.0  # exceeds 1, so never part of a violated cut
+    leaf, centers = _incidence(n, [star for star, _ in support])
+    y = np.array([w for _, w in support])
+    inf_cap = n * y.max(initial=0.0) + 1.0  # exceeds 1, so never part of a violated cut
 
     net = _FlowNetwork(n + len(support))
     for i, (star, w) in enumerate(support):
         net.add_edge(star.center, n + i, w)
-        for leaf in sorted(star.leaves):
-            net.add_edge(n + i, leaf, inf_cap)
+        for leaf_vertex in sorted(star.leaves):
+            net.add_edge(n + i, leaf_vertex, inf_cap)
     capacities = net.cap[:]
 
-    best: CutViolation | None = None
+    found: dict[frozenset[int], CutViolation] = {}
     for t in range(1, n):
         for s, sink in ((0, t), (t, 0)):
             net.cap[:] = capacities
@@ -172,67 +183,122 @@ def most_violated_cut(inst: Instance, weights: Mapping[StarKey, float]) -> CutVi
             if value >= 1.0 - _CUT_TOL:
                 continue
             subset = frozenset(v for v in range(n) if v not in side)
-            load = cut_load(support, subset)
+            if subset in found:
+                continue
+            load = float(_entering(leaf, centers, subset) @ y)
             if abs(load - value) > _VALUE_TOL:
                 raise LpError(
                     f"cut load {load} disagrees with flow value {value} for {sorted(subset)}"
                 )
-            if load < 1.0 - _CUT_TOL and (best is None or load < best.load):
-                best = CutViolation(subset, load)
-    return best
+            if load < 1.0 - _CUT_TOL:
+                found[subset] = CutViolation(subset, load)
+    return sorted(found.values(), key=lambda cut: (cut.load, sorted(cut.subset)))
+
+
+def most_violated_cut(inst: Instance, weights: Mapping[StarKey, float]) -> CutViolation | None:
+    """The subset whose entering weight falls furthest below 1, or None when
+    every load reaches 1 - _CUT_TOL."""
+    return min(violated_cuts(inst, weights), key=lambda cut: cut.load, default=None)
 
 
 class _Master:
     """The restricted master, kept optimal from one cut round to the next.
 
-    Minimize costs . y over y >= 0 with cuts @ y >= 1, where cuts holds one 0/1
-    row per cut (its entering stars) and column j is star j.  Variable j <
-    nstars is star j and nstars + i is row i's surplus; the basis holds one
-    variable per row, and each pivot factors the rows x rows basis afresh.
-    The dual simplex keeps every reduced cost c - pi [A | -I] nonnegative and
-    drives out a negative basic value.  A new row enters with its surplus basic,
-    which leaves the reduced costs as they were, so solve() resumes from the
-    previous optimal basis.  The smallest-index negative basic variable
-    leaves and the smallest index among ratio-test ties enters: Bland's rule
-    on the complementary dual basis, which rules out cycling.
+    Minimize costs . y over y >= 0 with A y >= 1, where A holds one 0/1 row per
+    cut (its entering stars) and column j is star j.  Variable j < nstars is
+    star j and nstars + i is row i's surplus; the basis holds one variable per
+    row.  The dual simplex keeps every reduced cost [c - pi A, pi] nonnegative
+    and drives out a negative basic value.  The smallest-index negative basic
+    variable leaves and the smallest index among ratio-test ties enters:
+    Bland's rule on the complementary dual basis, which rules out cycling.
+
+    A's rows and the basis inverse live in preallocated storage that doubles
+    when full.  A new row enters with its surplus basic, which leaves the
+    reduced costs as they were, so solve() resumes from the previous optimal
+    basis; it extends B^-1 by the row [r_B B^-1, -1] (r_B: the new row's
+    entries in the basic columns).  Each pivot updates B^-1 by a rank-one
+    product-form step, and B^-1 is factored afresh every _REFACTOR_PIVOTS
+    pivots, before rounding errors can pile up.
     """
 
     def __init__(self, costs: np.ndarray):
         self.costs = costs
-        self.cuts = np.zeros((0, len(costs)))
+        self.rows = np.zeros((0, len(costs)))  # A, in rows[:m] for m = len(basis)
+        self.binv = np.zeros((0, 0))  # B^-1, in binv[:m, :m]
         self.basis: list[int] = []
         self.pivots = 0
+        self.updates = 0  # pivots since B^-1 was last factored afresh
 
     def add_row(self, row: np.ndarray) -> None:
-        self.basis.append(len(self.costs) + len(self.basis))
-        self.cuts = np.vstack([self.cuts, row])
+        m, nstars = len(self.basis), len(self.costs)
+        if m == len(self.rows):
+            size = max(2 * m, 16)
+            rows, binv = np.zeros((size, nstars)), np.zeros((size, size))
+            rows[:m], binv[:m, :m] = self.rows[:m], self.binv[:m, :m]
+            self.rows, self.binv = rows, binv
+        self.rows[m] = row
+        basis = np.array(self.basis, dtype=np.intp)
+        in_basis = np.zeros(m)
+        stars = basis < nstars
+        in_basis[stars] = self.rows[m, basis[stars]]
+        self.binv[m, :m] = in_basis @ self.binv[:m, :m]
+        self.binv[:m, m] = 0.0
+        self.binv[m, m] = -1.0
+        self.basis.append(nstars + m)
+
+    def _factor(self) -> None:
+        m, nstars = len(self.basis), len(self.costs)
+        basis = np.array(self.basis, dtype=np.intp)
+        stars = basis < nstars
+        columns = np.zeros((m, m))  # B: the basic columns of [A | -I]
+        columns[:, stars] = self.rows[:m, basis[stars]]
+        columns[basis[~stars] - nstars, np.flatnonzero(~stars)] = -1.0
+        try:
+            self.binv[:m, :m] = np.linalg.inv(columns)
+        except np.linalg.LinAlgError:
+            raise LpError("singular basis in restricted master") from None
+        self.updates = 0
+
+    def _pivot(self, leave: int, enter: int) -> None:
+        m, nstars = len(self.basis), len(self.costs)
+        binv = self.binv[:m, :m]
+        if enter < nstars:
+            column = binv @ self.rows[:m, enter]  # B^-1 a_q
+        else:
+            column = -binv[:, enter - nstars]
+        row = binv[leave] / column[leave]
+        binv -= np.outer(column, row)
+        binv[leave] = row
+        self.basis[leave] = enter
+        self.pivots += 1
+        self.updates += 1
 
     def solve(self) -> tuple[np.ndarray, float]:
-        m, nstars = self.cuts.shape
-        full = np.hstack([self.cuts, -np.eye(m)])  # [A | -I]: stars, then surpluses
+        m, nstars = len(self.basis), len(self.costs)
+        rows, binv = self.rows[:m], self.binv[:m, :m]
         cost = np.concatenate([self.costs, np.zeros(m)])
         pivot_cap = 200 * (nstars + m)
         for _ in range(pivot_cap):
-            basis = np.array(self.basis)
-            try:
-                binv = np.linalg.inv(full[:, basis])
-            except np.linalg.LinAlgError:
-                raise LpError("singular basis in restricted master") from None
+            if self.updates >= _REFACTOR_PIVOTS:
+                self._factor()
+            basis = np.array(self.basis, dtype=np.intp)
             x = binv.sum(axis=1)  # B^-1 1
             pi = cost[basis] @ binv
             negative = np.flatnonzero(x < -_FEAS_TOL)
             if negative.size == 0:
                 break
-            leave = negative[np.argmin(basis[negative])]  # Bland: smallest index
-            alpha = binv[leave] @ full
+            leave = int(negative[np.argmin(basis[negative])])  # Bland: smallest index
+            alpha = np.concatenate([binv[leave] @ rows, -binv[leave]])
             alpha[basis] = 0.0  # only nonbasic variables may enter
             candidates = np.flatnonzero(alpha < -_FEAS_TOL)
             if candidates.size == 0:
                 raise LpError("restricted master is infeasible; cut rows are inconsistent")
-            ratios = (cost[candidates] - pi @ full[:, candidates]) / -alpha[candidates]
-            # Bland: smallest index among ratio ties
-            self.basis[leave] = int(candidates[ratios <= ratios.min() + _FEAS_TOL][0])
-            self.pivots += 1
+            reduced = np.concatenate([self.costs - pi @ rows, pi])
+            ratios = reduced[candidates] / -alpha[candidates]
+            low = ratios.min()
+            # Bland: smallest index among ratio ties, which are relative to the
+            # least ratio, since scaled costs can sit far below any fixed slack
+            self._pivot(leave, int(candidates[ratios <= low + _FEAS_TOL * abs(low)][0]))
         else:
             raise LpError(f"simplex exceeded {pivot_cap} pivots; conditioning problem")
 
@@ -251,9 +317,10 @@ def lp_lower_bound(inst: Instance) -> FractionalSolution:
 
     Seeds the master with the singleton cuts in both directions (every vertex
     must be entered, every vertex must buy a star), then alternates solving the
-    restricted master with max-flow separation until no cut is violated by
-    more than _CUT_TOL.  Each round adds a constraint the master did not have,
-    so the loop terminates; the final separation sweep is the certificate.
+    restricted master with max-flow separation, adding every violated cut a
+    sweep finds, until no cut is violated by more than _CUT_TOL.  Each round
+    adds a constraint the master did not have, so the loop terminates; the
+    final separation sweep is the certificate.
     """
     n = inst.n
     stars = enumerate_stars(inst)
@@ -263,18 +330,13 @@ def lp_lower_bound(inst: Instance) -> FractionalSolution:
     exponent = math.frexp(max(s.radius for s in stars))[1]
     costs = np.ldexp([s.radius for s in stars], -exponent)
     keys = [(s.center, s.radius) for s in stars]
-    centers = np.array([s.center for s in stars])
-    leaf = np.zeros((len(stars), n), dtype=bool)  # leaf[j, v]: v is a leaf of star j
-    for j, s in enumerate(stars):
-        leaf[j, list(s.leaves)] = True
+    leaf, centers = _incidence(n, stars)
     master = _Master(costs)
     seen_rows: set[bytes] = set()
 
     def add_cut(subset: frozenset[int]) -> bool:
         """Add the row of the stars entering subset, unless the master has it."""
-        inside = np.zeros(n, dtype=bool)
-        inside[list(subset)] = True
-        row = leaf[:, inside].any(1) & ~inside[centers]
+        row = _entering(leaf, centers, subset)
         key = row.tobytes()
         if key in seen_rows:
             return False
@@ -290,13 +352,13 @@ def lp_lower_bound(inst: Instance) -> FractionalSolution:
     for round_no in range(1, _MAX_ROUNDS + 1):
         y, value = master.solve()
         weights = {keys[j]: float(y[j]) for j in range(len(stars)) if y[j] > 1e-12}
-        violation = most_violated_cut(inst, weights)
-        if violation is None:
+        cuts = violated_cuts(inst, weights)
+        if not cuts:
             value = math.ldexp(value, exponent)  # back to the instance's cost scale
             return FractionalSolution(weights, value, round_no, len(seen_rows), master.pivots)
-        if not add_cut(violation.subset):
+        if not sum(add_cut(cut.subset) for cut in cuts):
             raise LpError(
-                f"separation returned an existing constraint (load {violation.load}); "
+                f"separation returned only existing constraints (least load {cuts[0].load}); "
                 "tolerance ladder is inconsistent"
             )
     raise LpError(f"no convergence after {_MAX_ROUNDS} cut rounds")

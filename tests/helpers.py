@@ -11,6 +11,7 @@ import itertools
 import math
 import random
 from time import perf_counter
+from typing import Iterable
 
 from minpower.exact import ExactResult, SearchLimits, _induced_strongly_connected
 from minpower.graph import Arc, Instance, PowerAssignment, Tree
@@ -294,6 +295,18 @@ def coverage_value(tree: Tree, stars: list[Star]) -> float:
     for star in stars:
         covered |= pairwise_cover(tree, star)
     return sum(tree.edges[i][2] for i in covered)
+
+
+def enters_cut(star: Star, subset: frozenset[int] | set[int]) -> bool:
+    """Star enters X iff its center is outside X and it touches X."""
+    if star.center in subset:
+        return False
+    return not subset.isdisjoint(star.leaves)
+
+
+def cut_load(stars: Iterable[tuple[Star, float]], subset: frozenset[int] | set[int]) -> float:
+    """Total weight of the stars entering subset, star by star, by definition."""
+    return float(sum(w for star, w in stars if enters_cut(star, subset)))
 
 
 def exhaustive_min_cut_load(inst: Instance, weights: dict[tuple[int, float], float]):

@@ -65,7 +65,7 @@ def test_lp_digest_is_pinned(monkeypatch):
 
     specs = [minpower.GeneratorSpec.parse(text) for text in LP_SPECS]
     assert len(specs) == 92
-    assert digest(specs, lp_lines) == "f44cd237cb3c2de4"
+    assert digest(specs, lp_lines) == "03dc7d16e9b44975"
 
 
 def test_exact_digest_is_pinned(monkeypatch):

@@ -7,12 +7,13 @@ import pytest
 from scipy.optimize import linprog
 
 import helpers
+from helpers import cut_load, enters_cut
 from minpower import lpbound
 from minpower.exact import exact_optimum
 from minpower.graph import Instance, minimum_spanning_tree
 from minpower.greedy import greedy_solve
 from minpower.instances import gen_line, gen_random_geometric
-from minpower.lpbound import cut_load, enters_cut, lp_lower_bound, most_violated_cut
+from minpower.lpbound import lp_lower_bound, most_violated_cut, violated_cuts
 from minpower.stars import enumerate_stars, Star
 
 
@@ -90,6 +91,40 @@ class TestLowerBound:
         assert (second.pivots, second.rounds) == (first.pivots, first.rounds)
 
 
+class TestWorkCounters:
+    """Rounds, cuts and pivots are deterministic, so they can be compared across
+    machines; the values stay within 1e-9 of those of the master that added
+    only the most violated cut per round and factored every basis afresh."""
+
+    @pytest.mark.parametrize(
+        "n,seed,counters,value",
+        [
+            (40, 0, (15, 153, 139), "0x1.58f7c7616ce98p-1"),
+            (60, 2, (16, 272, 278), "0x1.36b5fb0f77f95p-1"),
+        ],
+    )
+    def test_counters_are_pinned(self, n, seed, counters, value):
+        frac = lp_lower_bound(gen_random_geometric(n, 2.0, seed))
+        assert (frac.rounds, frac.constraints, frac.pivots) == counters
+        assert frac.value == pytest.approx(float.fromhex(value), rel=1e-9, abs=0.0)
+
+
+class TestSteepKappa:
+    """At kappa = 20 most scaled star costs lie far below 1e-9, so ratio-test
+    ties must be relative to the least ratio: an absolute slack entered
+    columns that were not minimum-ratio and pushed the value above opt."""
+
+    @pytest.mark.parametrize("n,seed", [(8, 2), (8, 3), (9, 11)])
+    def test_value_is_a_bound_and_the_oracle_is_exact(self, n, seed):
+        inst = gen_random_geometric(n, 20.0, seed)
+        reference = helpers.lp_free_exact_optimum(inst)
+        assert reference.optimal
+        # the LP is tight here, so only rounding may put it above opt; the
+        # absolute slack overshot by 1.2e-5 to 9.6e-4 relative
+        assert lp_lower_bound(inst).value <= reference.opt * (1 + 1e-12)
+        assert exact_optimum(inst).opt == reference.opt
+
+
 class TestScaleFree:
     """Scaling every cost by 2^k is exact in floating point, so it must scale
     each solver's output exactly and change nothing else; tolerances that
@@ -127,7 +162,17 @@ class TestWarmMaster:
 
     @pytest.mark.parametrize(
         "n,kappa,seed",
-        [(10, 1.0, 0), (11, 2.0, 1), (12, 4.0, 2), (13, 1.0, 3), (14, 2.0, 4), (20, 1.0, 2)],
+        [
+            (10, 1.0, 0),
+            (11, 2.0, 1),
+            (12, 4.0, 2),
+            (13, 1.0, 3),
+            (14, 2.0, 4),
+            (20, 1.0, 2),
+            (8, 20.0, 2),
+            (9, 20.0, 11),
+            (14, 20.0, 2),
+        ],
     )
     def test_every_round_matches_highs(self, monkeypatch, n, kappa, seed):
         rows, values = [], []
@@ -150,29 +195,36 @@ class TestWarmMaster:
         frac = lp_lower_bound(inst)
         assert len(values) == frac.rounds > 1
         assert frac.constraints == len(rows)
+        if kappa < 20:
+            scale, tolerance = 1.0, {"abs": 1e-7}
+        else:
+            # the costs span 1e-36 to about 2 and the value is near 1e-8, under HiGHS's
+            # absolute tolerances: give it costs over c(MST) and compare relatively
+            scale, tolerance = minimum_spanning_tree(inst).total_cost, {"rel": 1e-7, "abs": 0.0}
+        scaled = [c / scale for c in costs]
         for count, value in values:
-            assert value == pytest.approx(highs_master(costs, rows[:count]), abs=1e-7)
-        assert frac.value == pytest.approx(highs_master(costs, rows), abs=1e-7)
+            expected = highs_master(scaled, rows[:count]) * scale
+            assert value == pytest.approx(expected, **tolerance)
+        assert frac.value == pytest.approx(highs_master(scaled, rows) * scale, **tolerance)
 
     @pytest.mark.parametrize("n,kappa,seed,complete", [(10, 1.0, 0, True), (12, 2.0, 3, False)])
     def test_rows_match_enters_cut(self, monkeypatch, n, kappa, seed, complete):
         # the master's incidence rows against enters_cut, star by star, for
         # the seed cuts and every separated subset in the order they arrive
         rows, separated = [], []
-        add_row, separate = lpbound._Master.add_row, lpbound.most_violated_cut
+        add_row, separate = lpbound._Master.add_row, lpbound.violated_cuts
 
         def recording_add_row(master, row):
             rows.append(frozenset(np.flatnonzero(row).tolist()))
             add_row(master, row)
 
         def recording_separate(*args):
-            violation = separate(*args)
-            if violation is not None:
-                separated.append(violation.subset)
-            return violation
+            cuts = separate(*args)
+            separated.extend(cut.subset for cut in cuts)
+            return cuts
 
         monkeypatch.setattr(lpbound._Master, "add_row", recording_add_row)
-        monkeypatch.setattr(lpbound, "most_violated_cut", recording_separate)
+        monkeypatch.setattr(lpbound, "violated_cuts", recording_separate)
         inst = gen_random_geometric(n, kappa, seed, complete=complete)
         lp_lower_bound(inst)
         stars = enumerate_stars(inst)
@@ -192,6 +244,7 @@ class TestMasterFailures:
         master.add_row(np.array([True, True]))
         master.add_row(np.array([True, False]))
         master.basis = [0, 0]  # star 0 basic in both rows
+        master.updates = lpbound._REFACTOR_PIVOTS  # so solve() factors the basis afresh
         with pytest.raises(lpbound.LpError, match="singular basis"):
             master.solve()
 
@@ -239,6 +292,32 @@ class TestSeparation:
                 direct = cut_load(support, violation.subset)
                 assert direct == pytest.approx(violation.load, abs=1e-9)
                 assert direct < 1.0
+
+    def test_every_swept_cut_is_violated_once_and_sorted(self):
+        rng = random.Random(107)
+        for _ in range(30):
+            inst = helpers.random_connected_instance(rng, rng.randint(2, 9))
+            stars = enumerate_stars(inst)
+            weights = {}
+            for s in stars:
+                if rng.random() < 0.3:
+                    weights[(s.center, s.radius)] = round(rng.uniform(0.05, 0.8), 3)
+            support = [
+                (s, weights[(s.center, s.radius)])
+                for s in stars
+                if (s.center, s.radius) in weights
+            ]
+            cuts = violated_cuts(inst, weights)
+            subsets = [cut.subset for cut in cuts]
+            assert len(set(subsets)) == len(subsets)
+            assert [(c.load, sorted(c.subset)) for c in cuts] == sorted(
+                (c.load, sorted(c.subset)) for c in cuts
+            )
+            for cut in cuts:
+                assert 0 < len(cut.subset) < inst.n
+                assert cut_load(support, cut.subset) == pytest.approx(cut.load, abs=1e-9)
+                assert cut.load < 1.0 - 1e-7
+            assert most_violated_cut(inst, weights) == (cuts[0] if cuts else None)
 
     def test_agrees_with_exhaustive_enumeration(self):
         rng = random.Random(101)
