@@ -65,9 +65,7 @@ class Instance:
         inst = cls(n, tuple(norm))
         if not inst.is_connected():
             raise InstanceError("instance not connected")
-        if not isfinite(2.0 * sum(incident[-1][0] for incident in inst.adj if incident)):
-            raise InstanceError("costs too large: the total power overflows")
-        return inst
+        return check_total_power(inst)
 
     @property
     def m(self) -> int:
@@ -109,6 +107,15 @@ class Instance:
                     count += 1
                     queue.append(v)
         return count == self.n
+
+
+def check_total_power(inst: Instance) -> Instance:
+    """inst, once 2 * sum over v of v's largest incident cost, which bounds
+    every total the package forms, is known to be finite; raises InstanceError
+    if it overflows."""
+    if not isfinite(2.0 * sum(incident[-1][0] for incident in inst.adj if incident)):
+        raise InstanceError("costs too large: the total power overflows")
+    return inst
 
 
 @dataclass(frozen=True)
@@ -156,7 +163,7 @@ def minimum_spanning_tree(inst: Instance) -> Tree:
     Ties are resolved by sorting on (cost, min endpoint, max endpoint), so
     identical instances produce identical trees on every platform.
     """
-    order = sorted(range(inst.m), key=lambda i: (inst.edges[i][2], inst.edges[i][0], inst.edges[i][1]))
+    order = sorted((c, u, v) for u, v, c in inst.edges)
     parent = list(range(inst.n))
 
     def find(x: int) -> int:
@@ -166,8 +173,7 @@ def minimum_spanning_tree(inst: Instance) -> Tree:
         return x
 
     picked: list[tuple[int, int, float]] = []
-    for i in order:
-        u, v, c = inst.edges[i]
+    for c, u, v in order:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv

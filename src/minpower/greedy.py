@@ -15,6 +15,8 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from minpower.graph import (
     Arc,
@@ -100,46 +102,69 @@ def _scan_center(
     inst: Instance,
     u: int,
     label: list[int],
-    quotient: dict[int, list[tuple[int, float, int]]],
+    links: dict[int, tuple[int, float, int]],
     ncomp: int,
+    cap: float,
 ) -> tuple[float, float, float] | None:
     """Best (ratio, gain, radius) of the stars at center u, or None if none gains.
 
-    Walks the quotient tree once from u's component, which yields the gain of
-    every radius at u; ties break toward larger gain, then smaller radius.
+    links roots the quotient tree at a fixed component (root_quotient).  One
+    pass over u's neighbours, a group per radius in increasing order, yields
+    the gain of every radius at u; ties break toward larger gain, then smaller
+    radius.  Each leaf's component climbs the fixed parents until it meets a
+    reached component or the root path of u's component; from path position i
+    it walks that path down to the highest path position reached so far.
+    That meets the same edges in the same order as a climb toward u's
+    component in the quotient rooted there, so every gain is the same float
+    sum.
+
+    cap bounds every gain at u, so a radius r with r * best ratio > cap cannot
+    reach the best ratio so far, not even as a tie, and neither can any larger
+    radius: the scan stops there.
     """
-    root = label[u]
-    links = root_quotient(quotient, root)
-    best: tuple[float, float, float] | None = None
-    reached = {root}
-    acc = 0.0
-    prev_cost: float | None = None
-
-    def consider(radius: float, gain: float) -> None:
-        nonlocal best
-        if gain <= 0.0:
-            return
-        ratio = math.inf if radius == 0.0 else gain / radius
-        if best is None or ratio > best[0] or (ratio == best[0] and gain > best[1]):
-            best = (ratio, gain, radius)
-
-    for c, v in inst.adj[u]:
-        if prev_cost is not None and c != prev_cost:
-            consider(prev_cost, acc)
-        prev_cost = c
-        lv = label[v]
-        while lv not in reached:
-            reached.add(lv)
-            lv, edge_cost, _ = links[lv]
-            acc += edge_cost
-        if len(reached) == ncomp:
-            # larger radii at this center add no gain and only cost more
-            consider(c, acc)
-            prev_cost = None
+    # the root path of u's component: stop[x] is x's position on it, costs[i]
+    # the cost of the edge from position i up to i + 1; components reached off
+    # the path get stop[x] = -1, and path positions 0..top are reached
+    stop: dict[int, int] = {}
+    costs: list[float] = []
+    x = label[u]
+    while True:
+        stop[x] = len(costs)
+        link = links.get(x)
+        if link is None:
             break
-    if prev_cost is not None:
-        consider(prev_cost, acc)
-    return best
+        x, c, _ = link
+        costs.append(c)
+    top = 0
+    count = 1  # components reached
+    acc = 0.0
+    best_ratio = 0.0
+    best_gain = 0.0
+    best_radius = 0.0
+    for radius, leaves in groupby(inst.adj[u], itemgetter(0)):
+        if radius * best_ratio > cap:
+            break
+        for _, v in leaves:
+            x = label[v]
+            i = stop.get(x)
+            while i is None:
+                stop[x] = -1
+                x, c, _ = links[x]
+                acc += c
+                count += 1
+                i = stop.get(x)
+            if i > top:
+                for j in range(i - 1, top - 1, -1):
+                    acc += costs[j]
+                count += i - top
+                top = i
+        if acc > 0.0:
+            ratio = math.inf if radius == 0.0 else acc / radius
+            if ratio > best_ratio or (ratio == best_ratio and acc > best_gain):
+                best_ratio, best_gain, best_radius = ratio, acc, radius
+        if count == ncomp:
+            break  # larger radii at this center add no gain and only cost more
+    return (best_ratio, best_gain, best_radius) if best_gain > 0.0 else None
 
 
 def select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
@@ -154,7 +179,8 @@ def select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
     terms in the same order, and rounded addition is monotone.  So stale tops
     are rescanned until the top is current; that top is the argmax, and it
     stays in the heap as the next call's bound.  Centers whose gain reaches 0
-    leave the heap for good.
+    leave the heap for good.  The quotient tree is rooted once per call, and
+    every rescan climbs those same parent links.
 
     Zero-gain stars are skipped: while any tree edge is uncovered, the star at
     one endpoint with the edge's own cost as radius has positive gain and ratio
@@ -164,14 +190,23 @@ def select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
     if state.all_covered:
         raise RuntimeError("select_best_star called with every tree edge covered")
     label = state.label
-    quotient = state.quotient()
+    links = root_quotient(state.quotient(), label[0])
     ncomp = state.component_count()
+    # cap bounds every gain: a gain is the float sum of some of the uncovered
+    # tree costs, uncovered the float sum of all of them, and each sum is
+    # within n * 2**-53 (relative) of its exact value, far inside the 1e-9
+    # margin.
+    uncovered = 0.0
+    for a, b, c in state.tree.edges:
+        if label[a] != label[b]:
+            uncovered += c
+    cap = (1.0 + 1e-9) * uncovered
 
     heap = state.bounds
     stamp = len(state.chosen)
     while heap and heap[0][4] != stamp:
         u = heap[0][2]
-        found = _scan_center(inst, u, label, quotient, ncomp)
+        found = _scan_center(inst, u, label, links, ncomp, cap)
         state.center_scans += 1
         if found is None:
             heapq.heappop(heap)

@@ -33,7 +33,13 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
-from minpower.graph import Instance, InstanceError, PowerAssignment, minimum_spanning_tree
+from minpower.graph import (
+    Instance,
+    InstanceError,
+    PowerAssignment,
+    check_total_power,
+    minimum_spanning_tree,
+)
 
 _K_NEAREST = 8  # neighbors each vertex keeps in a sparse random-geometric graph
 
@@ -146,6 +152,12 @@ class GeneratorSpec:
 
 
 def _complete_instance(points: list[tuple[float, float]], kappa: float = 2.0) -> Instance:
+    """The complete graph on points with cost = distance ** kappa.
+
+    The pairs are distinct and in range by construction, so of
+    Instance.from_edges' checks only the cost checks are made: coincident
+    points, a cost that overflows or underflows to 0, and the total power.
+    """
     n = len(points)
     edges = []
     for u in range(n):
@@ -163,7 +175,7 @@ def _complete_instance(points: list[tuple[float, float]], kappa: float = 2.0) ->
                     raise InstanceError(f"coincident points {u} and {v}")
                 raise InstanceError(f"cost of edge {u}-{v} underflows to 0 at kappa={kappa!r}")
             edges.append((u, v, cost))
-    return Instance.from_edges(n, edges)
+    return check_total_power(Instance(n, tuple(edges)))
 
 
 def gen_line(n: int, epsilon: float) -> Instance:
@@ -172,7 +184,8 @@ def gen_line(n: int, epsilon: float) -> Instance:
     Gap i is 1 for even i and epsilon for odd i (n unit gaps, n-1 epsilon
     gaps), and pairwise costs are computed from exact gap counts as
     (units + epses * epsilon)^2, so unit-edge costs are exactly 1.0 and the
-    bidirected spanning-tree baseline totals exactly 2n.
+    bidirected spanning-tree baseline totals exactly 2n.  Every cost is
+    finite and nonnegative, so the instance is built without validation.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -186,7 +199,7 @@ def gen_line(n: int, epsilon: float) -> Instance:
             epses = (v - u) - units
             dist = units + epses * epsilon
             edges.append((u, v, dist * dist))
-    return Instance.from_edges(count, edges)
+    return Instance(count, tuple(edges))
 
 
 def line_alternative_assignment(n: int, epsilon: float) -> PowerAssignment:
@@ -268,15 +281,18 @@ def gen_random_geometric(n: int, kappa: float, seed: int, complete: bool = True)
 
 
 def sparsify_k_nearest(inst: Instance) -> Instance:
-    """Keep mutual/one-sided _K_NEAREST-nearest edges plus an MST to stay connected."""
+    """Keep mutual/one-sided _K_NEAREST-nearest edges plus an MST to stay connected.
+
+    The kept edges are a subset of inst's, in the same order, so the result
+    needs no validation.
+    """
     keep: set[tuple[int, int]] = set()
     for u in range(inst.n):
         for c, v in inst.adj[u][:_K_NEAREST]:
             keep.add((u, v) if u < v else (v, u))
     for u, v, _ in minimum_spanning_tree(inst).edges:
         keep.add((u, v) if u < v else (v, u))
-    edges = [(u, v, c) for u, v, c in inst.edges if (u, v) in keep]
-    return Instance.from_edges(inst.n, edges)
+    return Instance(inst.n, tuple(e for e in inst.edges if (e[0], e[1]) in keep))
 
 
 def write_instance(inst: Instance, path: str, comments: tuple[str, ...] = ()) -> None:

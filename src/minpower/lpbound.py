@@ -125,14 +125,6 @@ class _FlowNetwork:
             flow += pushed
 
 
-def _support(inst: Instance, weights: Mapping[StarKey, float]) -> list[tuple[Star, float]]:
-    return [
-        (star_at(inst, center, radius), float(w))
-        for (center, radius), w in sorted(weights.items())
-        if w > 0.0
-    ]
-
-
 def _incidence(n: int, stars: list[Star]) -> tuple[np.ndarray, np.ndarray]:
     """leaf[j, v] says v is a leaf of star j; centers[j] is star j's center."""
     leaf = np.zeros((len(stars), n), dtype=bool)
@@ -160,18 +152,24 @@ def violated_cuts(inst: Instance, weights: Mapping[StarKey, float]) -> list[CutV
     load is its cut row times the weights, checked against the flow value.
     Sorted by load, then by subset.
     """
-    n = inst.n
-    if n <= 1:
+    if inst.n <= 1:
         return []
-    support = _support(inst, weights)
-    leaf, centers = _incidence(n, [star for star, _ in support])
-    y = np.array([w for _, w in support])
+    support = sorted((key, float(w)) for key, w in weights.items() if w > 0.0)
+    leaf, centers = _incidence(inst.n, [star_at(inst, *key) for key, _ in support])
+    return _sweep(np.array([w for _, w in support]), leaf, centers)
+
+
+def _sweep(y: np.ndarray, leaf: np.ndarray, centers: np.ndarray) -> list[CutViolation]:
+    """violated_cuts for the support stars in key order: their weights y > 0
+    and their incidence leaf, centers (see _incidence), over at least 2
+    vertices."""
+    n = leaf.shape[1]
     inf_cap = n * y.max(initial=0.0) + 1.0  # exceeds 1, so never part of a violated cut
 
-    net = _FlowNetwork(n + len(support))
-    for i, (star, w) in enumerate(support):
-        net.add_edge(star.center, n + i, w)
-        for leaf_vertex in sorted(star.leaves):
+    net = _FlowNetwork(n + len(y))
+    for i, (center, w) in enumerate(zip(centers.tolist(), y.tolist())):
+        net.add_edge(center, n + i, w)
+        for leaf_vertex in np.flatnonzero(leaf[i]).tolist():
             net.add_edge(n + i, leaf_vertex, inf_cap)
     capacities = net.cap[:]
 
@@ -351,8 +349,10 @@ def lp_lower_bound(inst: Instance) -> FractionalSolution:
 
     for round_no in range(1, _MAX_ROUNDS + 1):
         y, value = master.solve()
-        weights = {keys[j]: float(y[j]) for j in range(len(stars)) if y[j] > 1e-12}
-        cuts = violated_cuts(inst, weights)
+        support = np.flatnonzero(y > 1e-12)
+        weights = {keys[j]: float(y[j]) for j in support}
+        # stars are in key order, so this is violated_cuts(inst, weights)
+        cuts = _sweep(y[support], leaf[support], centers[support])
         if not cuts:
             value = math.ldexp(value, exponent)  # back to the instance's cost scale
             return FractionalSolution(weights, value, round_no, len(seen_rows), master.pivots)

@@ -14,7 +14,7 @@ from minpower.greedy import (
     ratio_bound,
     select_best_star,
 )
-from minpower.instances import gen_line, gen_random_geometric
+from minpower.instances import GeneratorSpec, gen_line, gen_random_geometric
 from minpower.lpbound import lp_lower_bound
 from minpower.stars import CoverState, apply_star, enumerate_stars, marginal_gain
 
@@ -151,6 +151,28 @@ class TestLazySelection:
                 other = rng.choice(stars)
                 _, new_arcs = marginal_gain(state, other)
                 apply_star(state, other, new_arcs)
+
+    def test_deep_quotient_trees_and_steep_costs(self):
+        # the line family keeps long root paths in the quotient tree, and at
+        # kappa = 20 the gains span many orders of magnitude
+        cases = [gen_line(60, 2.0**-7), gen_line(30, 0.5)]
+        cases += [gen_random_geometric(n, 20.0, seed) for n, seed in ((30, 4), (60, 5))]
+        cases += [gen_random_geometric(80, 20.0, 6, complete=False)]
+        for inst in cases:
+            assert _picks(inst, select_best_star) == _picks(inst, helpers.eager_select_best_star)
+
+    @pytest.mark.parametrize(
+        "spec, iterations, scans",
+        [
+            ("family=line,n=150,eps=0.0078125", 75, 743),
+            ("family=random-geometric,n=300,kappa=2,seed=0", 47, 861),
+            ("family=random-geometric,n=300,kappa=2,seed=1,complete=false", 59, 904),
+        ],
+    )
+    def test_work_counters_pinned(self, spec, iterations, scans):
+        # the three 300-vertex instances of the benchmark's greedy-large workload
+        sol = greedy_solve(GeneratorSpec.parse(spec).build()[0])
+        assert (sol.iterations, sol.center_scans) == (iterations, scans)
 
     def test_scans_fewer_centers_than_the_eager_loop(self):
         inst = gen_line(150, 2.0**-7)

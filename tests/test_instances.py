@@ -167,6 +167,39 @@ class TestRandomGeometric:
         assert rng.next_u64() == 3203168211198807973
 
 
+class TestTrustedGeneration:
+    """The generators build their instances without from_edges' per-edge
+    checks; validating the result must change nothing."""
+
+    @staticmethod
+    def assert_valid(inst):
+        again = Instance.from_edges(inst.n, inst.edges)
+        assert (again.n, again.edges) == (inst.n, inst.edges)
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 150])
+    @pytest.mark.parametrize("eps", [0.5, 0.25, 0.01, 2.0**-7])
+    def test_line(self, n, eps):
+        self.assert_valid(gen_line(n, eps))
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_polygon(self, n):
+        self.assert_valid(gen_polygon(n)[0])
+
+    @pytest.mark.parametrize("kappa", [1.0, 2.0, 4.0, 20.0])
+    @pytest.mark.parametrize("complete", [True, False])
+    def test_random_geometric(self, kappa, complete):
+        for n, seed in ((2, 0), (9, 1), (40, 2)):
+            self.assert_valid(gen_random_geometric(n, kappa, seed, complete=complete))
+
+    def test_total_power_overflow_still_rejected(self):
+        # every cost is finite (2**1023.5 at most), but two vertices of power
+        # 2**1023.5 sum past the largest float
+        with pytest.raises(
+            InstanceError, match=re.escape("costs too large: the total power overflows")
+        ):
+            _complete_instance([(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)], 1023.5)
+
+
 class TestFileRoundTrip:
     def test_polygon_roundtrip(self, tmp_path):
         inst, witness = gen_polygon(3)

@@ -212,7 +212,7 @@ class TestWarmMaster:
         # the master's incidence rows against enters_cut, star by star, for
         # the seed cuts and every separated subset in the order they arrive
         rows, separated = [], []
-        add_row, separate = lpbound._Master.add_row, lpbound.violated_cuts
+        add_row, separate = lpbound._Master.add_row, lpbound._sweep
 
         def recording_add_row(master, row):
             rows.append(frozenset(np.flatnonzero(row).tolist()))
@@ -224,7 +224,7 @@ class TestWarmMaster:
             return cuts
 
         monkeypatch.setattr(lpbound._Master, "add_row", recording_add_row)
-        monkeypatch.setattr(lpbound, "violated_cuts", recording_separate)
+        monkeypatch.setattr(lpbound, "_sweep", recording_separate)
         inst = gen_random_geometric(n, kappa, seed, complete=complete)
         lp_lower_bound(inst)
         stars = enumerate_stars(inst)
