@@ -27,7 +27,7 @@ from minpower.graph import (
     minimum_spanning_tree,
     power_of,
 )
-from minpower.stars import CoverState, Star, apply_star, marginal_gain, root_quotient, star_at
+from minpower.stars import CoverState, Star, apply_star, marginal_gain, root_path, star_at
 
 _REL_TOL = 1e-9
 
@@ -60,7 +60,7 @@ class Solution:
     tree_cost: float
     star_power: float
     residual_arcs: frozenset[Arc]
-    center_scans: int = 0  # per-center quotient walks made by select_best_star
+    center_scans: int = 0  # per-center walks of the parent links made by select_best_star
 
     @property
     def iterations(self) -> int:
@@ -108,33 +108,18 @@ def _scan_center(
 ) -> tuple[float, float, float] | None:
     """Best (ratio, gain, radius) of the stars at center u, or None if none gains.
 
-    links roots the quotient tree at a fixed component (root_quotient).  One
-    pass over u's neighbours, a group per radius in increasing order, yields
-    the gain of every radius at u; ties break toward larger gain, then smaller
-    radius.  Each leaf's component climbs the fixed parents until it meets a
-    reached component or the root path of u's component; from path position i
-    it walks that path down to the highest path position reached so far.
-    That meets the same edges in the same order as a climb toward u's
-    component in the quotient rooted there, so every gain is the same float
-    sum.
+    links roots the quotient tree at label[0] (CoverState.links).  One pass
+    over u's neighbours, a group per radius in increasing order, yields the
+    gain of every radius at u; ties break toward larger gain, then smaller
+    radius.  The leaves are walked as marginal_gain walks them, up the fixed
+    links and down the root path of u's component, so every gain is the same
+    float sum as marginal_gain's for the star at that radius.
 
     cap bounds every gain at u, so a radius r with r * best ratio > cap cannot
     reach the best ratio so far, not even as a tie, and neither can any larger
     radius: the scan stops there.
     """
-    # the root path of u's component: stop[x] is x's position on it, costs[i]
-    # the cost of the edge from position i up to i + 1; components reached off
-    # the path get stop[x] = -1, and path positions 0..top are reached
-    stop: dict[int, int] = {}
-    costs: list[float] = []
-    x = label[u]
-    while True:
-        stop[x] = len(costs)
-        link = links.get(x)
-        if link is None:
-            break
-        x, c, _ = link
-        costs.append(c)
+    stop, path = root_path(label[u], links)
     top = 0
     count = 1  # components reached
     acc = 0.0
@@ -154,8 +139,8 @@ def _scan_center(
                 count += 1
                 i = stop.get(x)
             if i > top:
-                for j in range(i - 1, top - 1, -1):
-                    acc += costs[j]
+                for _, c, _ in reversed(path[top:i]):
+                    acc += c
                 count += i - top
                 top = i
         if acc > 0.0:
@@ -179,8 +164,8 @@ def select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
     terms in the same order, and rounded addition is monotone.  So stale tops
     are rescanned until the top is current; that top is the argmax, and it
     stays in the heap as the next call's bound.  Centers whose gain reaches 0
-    leave the heap for good.  The quotient tree is rooted once per call, and
-    every rescan climbs those same parent links.
+    leave the heap for good.  The quotient's parent links are read once per
+    call, and every rescan climbs those same links.
 
     Zero-gain stars are skipped: while any tree edge is uncovered, the star at
     one endpoint with the edge's own cost as radius has positive gain and ratio
@@ -190,17 +175,13 @@ def select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
     if state.all_covered:
         raise RuntimeError("select_best_star called with every tree edge covered")
     label = state.label
-    links = root_quotient(state.quotient(), label[0])
+    links = state.links()
     ncomp = state.component_count()
     # cap bounds every gain: a gain is the float sum of some of the uncovered
-    # tree costs, uncovered the float sum of all of them, and each sum is
-    # within n * 2**-53 (relative) of its exact value, far inside the 1e-9
-    # margin.
-    uncovered = 0.0
-    for a, b, c in state.tree.edges:
-        if label[a] != label[b]:
-            uncovered += c
-    cap = (1.0 + 1e-9) * uncovered
+    # tree costs, one per link, and cap sums all of them; a float sum in any
+    # order is within n * 2**-53 (relative) of its exact value, far inside the
+    # 1e-9 margin.
+    cap = (1.0 + 1e-9) * sum(c for _, c, _ in links.values())
 
     heap = state.bounds
     stamp = len(state.chosen)

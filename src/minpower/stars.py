@@ -57,12 +57,12 @@ class CoverState:
     Covered tree edges are contracted: label[v] names the component of vertex
     v, and because a tree has no cycles, a tree edge is covered exactly when
     its endpoints share a label.  The components and the uncovered edges form
-    the quotient tree (see quotient and root_quotient).  Covering an edge
-    removes the one arc of the bidirected tree that points away from the
-    covering star's center; the state records that arc's tail per covered
-    edge, and the antiparallel arc survives for good.  Also tracks the chosen
-    stars, the covered cost, and the greedy's per-center upper bounds with its
-    count of center scans.
+    the quotient tree, whose parent links links() reads off the spanning tree
+    rooted once at vertex 0.  Covering an edge removes the one arc of the
+    bidirected tree that points away from the covering star's center; the
+    state records that arc's tail per covered edge, and the antiparallel arc
+    survives for good.  Also tracks the chosen stars, the covered cost, and
+    the greedy's per-center upper bounds with its count of center scans.
     """
 
     def __init__(self, inst: Instance, tree: Tree):
@@ -80,6 +80,16 @@ class CoverState:
             (-math.inf, -math.inf, u, 0.0, -1) for u in range(inst.n)
         ]
         self.center_scans = 0
+        # the tree rooted at vertex 0: (v, parent, cost, tree-edge index) for
+        # every other vertex, in breadth-first order
+        nbrs: list[list[tuple[int, float, int]]] = [[] for _ in range(inst.n)]
+        for idx, (u, v, c) in enumerate(tree.edges):
+            nbrs[u].append((v, c, idx))
+            nbrs[v].append((u, c, idx))
+        rooted = [(0, -1, 0.0, -1)]
+        for v, p, _, _ in rooted:  # the list grows while it is walked
+            rooted.extend((w, v, c, idx) for w, c, idx in nbrs[v] if w != p)
+        self._rooted = rooted[1:]
 
     @property
     def all_covered(self) -> bool:
@@ -103,20 +113,20 @@ class CoverState:
                 arcs.add((v, u))
         return arcs
 
-    def quotient(self) -> dict[int, list[tuple[int, float, int]]]:
-        """The tree with covered edges contracted, as adjacency over labels.
+    def links(self) -> dict[int, tuple[int, float, int]]:
+        """Parent links of the quotient tree rooted at component label[0].
 
-        quotient[l] lists (neighbour label, cost, tree-edge index) for every
-        uncovered edge leaving component l, in tree-edge order.
+        Maps every other component label to (parent label, cost, tree-edge
+        index) of the uncovered edge leading toward label[0].  A component is a
+        subtree of the tree rooted at vertex 0, so that edge is the one above
+        its vertex nearest 0; the edges above its other vertices are covered.
         """
         label = self.label
-        adj: dict[int, list[tuple[int, float, int]]] = {}
-        for idx, (u, v, c) in enumerate(self.tree.edges):
-            lu, lv = label[u], label[v]
-            if lu != lv:
-                adj.setdefault(lu, []).append((lv, c, idx))
-                adj.setdefault(lv, []).append((lu, c, idx))
-        return adj
+        return {
+            label[v]: (label[p], c, idx)
+            for v, p, c, idx in self._rooted
+            if label[v] != label[p]
+        }
 
     def _merge(self, a: int, b: int) -> None:
         la, lb = self.label[a], self.label[b]
@@ -128,25 +138,23 @@ class CoverState:
         del self._members[lb]
 
 
-def root_quotient(
-    quotient: dict[int, list[tuple[int, float, int]]], root: int
-) -> dict[int, tuple[int, float, int]]:
-    """Parent links of the quotient tree rooted at component root.
+def root_path(
+    x: int, links: dict[int, tuple[int, float, int]]
+) -> tuple[dict[int, int], list[tuple[int, float, int]]]:
+    """Component x's path up the parent links to their root.
 
-    Maps every other component label to (parent label, cost, tree-edge index)
-    of the uncovered edge leading toward root, by breadth-first search.
+    Returns (stop, path): stop maps each component on the path to its
+    position, x at 0, and path[i] is the link from position i up to i + 1.
+    A walk toward x marks the components it reaches off the path with stop -1
+    and reaches path positions 0..top, top the highest it has entered.
     """
-    links: dict[int, tuple[int, float, int]] = {}
-    queue = [(root, -1)]
-    qi = 0
-    while qi < len(queue):
-        x, up = queue[qi]
-        qi += 1
-        for y, c, idx in quotient.get(x, ()):
-            if y != up:
-                links[y] = (x, c, idx)
-                queue.append((y, x))
-    return links
+    stop = {x: 0}
+    path: list[tuple[int, float, int]] = []
+    while x in links:
+        path.append(links[x])
+        x = links[x][0]
+        stop[x] = len(path)
+    return stop, path
 
 
 def marginal_gain(state: CoverState, star: Star) -> tuple[float, list[tuple[int, Arc]]]:
@@ -154,30 +162,41 @@ def marginal_gain(state: CoverState, star: Star) -> tuple[float, list[tuple[int,
 
     The star covers the tree edges on paths from its center to its leaves; the
     uncovered ones are the quotient tree's edges on paths between their
-    components.  Roots the quotient at the center's component and climbs from
-    each leaf's component toward it, stopping at components already reached,
-    so each such edge is met once.  Returns (gain, new_arcs): gain is the total
-    cost of those edges, new_arcs those edges as (edge index, arc from the
-    endpoint in the parent component to the one in the child) in the order
-    met.  new_arcs is empty iff the star covers nothing new, and then gain is 0.
+    components.  Each leaf's component, in sorted vertex order, climbs the
+    links toward label[0] until it meets a reached component or the root path
+    of the center's component; from path position i it walks that path down to
+    the highest position reached so far.  So each such edge is met once, in the
+    order of a climb toward the center's component in the quotient rooted
+    there.  Returns (gain, new_arcs): gain is the total cost of those edges,
+    new_arcs those edges as (edge index, arc from the endpoint nearer the
+    center to the other) in the order met.  new_arcs is empty iff the star
+    covers nothing new, and then gain is 0.
     """
     if not star.leaves:
         return 0.0, []
     label = state.label
     edges = state.tree.edges
-    root = label[star.center]
-    links = root_quotient(state.quotient(), root)
-    reached = {root}
+    links = state.links()
+    stop, path = root_path(label[star.center], links)
+    top = 0
     gain = 0.0
     new_arcs: list[tuple[int, Arc]] = []
     for v in sorted(star.leaves):
         x = label[v]
-        while x not in reached:
-            reached.add(x)
+        i = stop.get(x)
+        while i is None:
+            stop[x] = -1
             x, c, idx = links[x]
             a, b, _ = edges[idx]
             gain += c
             new_arcs.append((idx, (a, b) if label[a] == x else (b, a)))
+            i = stop.get(x)
+        if i > top:
+            for y, c, idx in reversed(path[top:i]):
+                a, b, _ = edges[idx]
+                gain += c
+                new_arcs.append((idx, (b, a) if label[a] == y else (a, b)))
+            top = i
     return gain, new_arcs
 
 

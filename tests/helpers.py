@@ -110,6 +110,65 @@ def eager_select_best_star(inst: Instance, state: CoverState) -> tuple[Star, flo
     return star_at(inst, best_center, best_radius), best_gain
 
 
+def quotient_links(state: CoverState, root: int) -> dict[int, tuple[int, float, int]]:
+    """Parent links of the quotient tree rooted at component root.
+
+    The quotient tree is the spanning tree with covered edges contracted.
+    Builds it as adjacency over labels and roots it by breadth-first search,
+    the rooting CoverState.links replaced, kept as its differential oracle.
+    Maps every other component label to (parent label, cost, tree-edge index)
+    of the uncovered edge leading toward root.
+    """
+    label = state.label
+    quotient: dict[int, list[tuple[int, float, int]]] = {}
+    for idx, (u, v, c) in enumerate(state.tree.edges):
+        lu, lv = label[u], label[v]
+        if lu != lv:
+            quotient.setdefault(lu, []).append((lv, c, idx))
+            quotient.setdefault(lv, []).append((lu, c, idx))
+    links: dict[int, tuple[int, float, int]] = {}
+    queue = [(root, -1)]
+    qi = 0
+    while qi < len(queue):
+        x, up = queue[qi]
+        qi += 1
+        for y, c, idx in quotient.get(x, ()):
+            if y != up:
+                links[y] = (x, c, idx)
+                queue.append((y, x))
+    return links
+
+
+def center_rooted_gain(state: CoverState, star: Star) -> tuple[float, list[tuple[int, Arc]]]:
+    """marginal_gain by a climb in the quotient tree rooted at the star's center.
+
+    The walk marginal_gain made before it shared the greedy scan's links,
+    kept as its differential oracle.  Climbs from each leaf's component, in
+    sorted vertex order, toward the center's component, stopping at components
+    already reached.  Returns (gain, new_arcs) as marginal_gain does: new_arcs
+    lists (edge index, arc from the endpoint in the parent component to the one
+    in the child) in the order met.
+    """
+    if not star.leaves:
+        return 0.0, []
+    label = state.label
+    edges = state.tree.edges
+    root = label[star.center]
+    links = quotient_links(state, root)
+    reached = {root}
+    gain = 0.0
+    new_arcs: list[tuple[int, Arc]] = []
+    for v in sorted(star.leaves):
+        x = label[v]
+        while x not in reached:
+            reached.add(x)
+            x, c, idx = links[x]
+            a, b, _ = edges[idx]
+            gain += c
+            new_arcs.append((idx, (a, b) if label[a] == x else (b, a)))
+    return gain, new_arcs
+
+
 def lp_free_exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactResult:
     """Minimum total power by branch and bound alone, seeded by the greedy.
 

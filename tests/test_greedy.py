@@ -139,17 +139,23 @@ class TestLazySelection:
         rng = random.Random(67)
         cases = [helpers.random_connected_instance(rng, rng.randint(3, 12)) for _ in range(40)]
         cases += [gen_line(12, 0.25), gen_random_geometric(25, 2.0, 5, complete=False)]
+        # long root paths, and gains spanning many orders of magnitude
+        cases += [gen_line(60, 2.0**-7), gen_random_geometric(30, 20.0, 4)]
         for inst in cases:
             state = CoverState(inst, minimum_spanning_tree(inst))
             stars = enumerate_stars(inst)
             while not state.all_covered:
+                assert state.links() == helpers.quotient_links(state, state.label[0])
                 star, gain = select_best_star(inst, state)
                 eager_star, eager_gain = helpers.eager_select_best_star(inst, state)
                 assert star == eager_star
                 assert gain.hex() == eager_gain.hex()
                 # a random star, often not the greedy pick and sometimes useless
                 other = rng.choice(stars)
-                _, new_arcs = marginal_gain(state, other)
+                other_gain, new_arcs = marginal_gain(state, other)
+                oracle_gain, oracle_arcs = helpers.center_rooted_gain(state, other)
+                assert other_gain.hex() == oracle_gain.hex()
+                assert new_arcs == oracle_arcs
                 apply_star(state, other, new_arcs)
 
     def test_deep_quotient_trees_and_steep_costs(self):
