@@ -182,7 +182,7 @@ def _solve_instance(
             report.exact_status = "skipped: instance too large"
         else:
             t0 = perf_counter()
-            exact = exact_optimum(inst, SearchLimits(max_vertices=max_exact_n))
+            exact = exact_optimum(inst, SearchLimits(max_vertices=max_exact_n), incumbent=solution)
             timings["exact"] = perf_counter() - t0
             report.exact_status = exact.status
             report.exact_opt = exact.opt

@@ -28,7 +28,7 @@ from typing import Mapping
 
 from minpower import lpbound
 from minpower.graph import Instance, PowerAssignment, induced_arcs, is_strongly_connected
-from minpower.greedy import greedy_solve
+from minpower.greedy import Solution, greedy_solve
 from minpower.lpbound import _CERT_TOL, FractionalSolution, LpError, StarKey
 
 
@@ -109,7 +109,9 @@ def _round_lp_support(n: int, weights: Mapping[StarKey, float]) -> list[float]:
     return p
 
 
-def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactResult:
+def exact_optimum(
+    inst: Instance, limits: SearchLimits | None = None, *, incumbent: Solution | None = None
+) -> ExactResult:
     """Minimum total power with a verifying witness assignment.
 
     The incumbent is the better of the greedy solution and the rounded LP
@@ -120,6 +122,8 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
     the incumbent meets the LP bound, or once a limit trips.  An LpError
     leaves the search to prove optimality on its own.  The result carries the
     LP as its bound, so callers that report the LP need not solve it again.
+    A caller that has already run greedy_solve(inst) passes that solution as
+    incumbent, so the greedy and its spanning tree do not run twice.
     """
     limits = limits or SearchLimits()
     n = inst.n
@@ -127,7 +131,10 @@ def exact_optimum(inst: Instance, limits: SearchLimits | None = None) -> ExactRe
         raise ValueError(f"instance has {n} vertices, limit is {limits.max_vertices}")
 
     start = perf_counter()
-    incumbent = greedy_solve(inst)
+    if incumbent is None:
+        incumbent = greedy_solve(inst)
+    elif incumbent.inst != inst:
+        raise ValueError("incumbent solves a different instance")
     best = incumbent.total_power
     best_assign = list(incumbent.powers.levels)
 

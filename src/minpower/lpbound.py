@@ -13,8 +13,11 @@ simplex whose basis is as large as the cut set and whose basis inverse is
 updated pivot by pivot, resumed from the previous round's optimal basis after
 each round's new cuts.  Violated cuts are found on demand by
 shortest-augmenting-path max-flow in a star-expanded network, fixing vertex 0
-as the root and running both flow directions to every other vertex; a round
-adds every violated cut that sweep finds.
+as the root and running both flow directions to every other vertex.  Each
+max-flow below 1 yields two minimum cuts, the one nearest the source and the
+back cut nearest the sink, and a round adds every violated cut that sweep
+finds.  The cut rows come from a star x vertex leaf-incidence array, read off
+the cost matrix in one comparison.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Mapping
 import numpy as np
 
 from minpower.graph import Instance
-from minpower.stars import Star, enumerate_stars, star_at
+from minpower.stars import enumerate_stars
 
 # The ladder _FEAS_TOL < _CUT_TOL <= _VALUE_TOL keeps the value a bound: a cut
 # tolerance tau only guarantees value >= (1 - tau) LP, and one at or below the
@@ -124,13 +127,38 @@ class _FlowNetwork:
                 self.cap[e ^ 1] += pushed
             flow += pushed
 
+    def sink_side(self, t: int) -> set[int]:
+        """The nodes that still reach t in the residual network.
 
-def _incidence(n: int, stars: list[Star]) -> tuple[np.ndarray, np.ndarray]:
-    """leaf[j, v] says v is a leaf of star j; centers[j] is star j's center."""
-    leaf = np.zeros((len(stars), n), dtype=bool)
-    for j, star in enumerate(stars):
-        leaf[j, list(star.leaves)] = True
-    return leaf, np.array([star.center for star in stars], dtype=np.intp)
+        After max_flow(s, t) this is the sink side of the minimum cut nearest
+        the sink: every arc into it is saturated, so its capacity is the flow
+        value.  A reverse search from t: arc e leaves v for w, so w reaches v
+        over e's reverse when that has residual capacity above _FEAS_TOL.
+        """
+        side = {t}
+        queue = [t]
+        for v in queue:
+            for e in self.head[v]:
+                w = self.to[e]
+                if w not in side and self.cap[e ^ 1] > _FEAS_TOL:
+                    side.add(w)
+                    queue.append(w)
+        return side
+
+
+def _incidence(inst: Instance, keys: list[StarKey]) -> tuple[np.ndarray, np.ndarray]:
+    """leaf[j, v] says v is a leaf of star j; centers[j] is star j's center.
+
+    Star (u, r)'s leaves are u's neighbours within cost r, so its row is the
+    cost matrix's row u, inf off the edges and on the diagonal, compared to r.
+    """
+    cost = np.full((inst.n, inst.n), math.inf)
+    if inst.edges:
+        u, v, c = zip(*inst.edges)
+        cost[u, v] = cost[v, u] = c
+    centers = np.array([center for center, _ in keys], dtype=np.intp)
+    radii = np.array([radius for _, radius in keys], dtype=float)
+    return cost[centers] <= radii[:, None], centers
 
 
 def _entering(leaf: np.ndarray, centers: np.ndarray, subset: frozenset[int]) -> np.ndarray:
@@ -148,21 +176,27 @@ def violated_cuts(inst: Instance, weights: Mapping[StarKey, float]) -> list[CutV
     infinite capacity.  Min cuts from vertex 0 to each t (subsets avoiding 0)
     and from each t back to 0 (subsets containing 0) together range over every
     proper nonempty subset; the capacities are restored before each max-flow.
-    Each min cut with load below 1 - _CUT_TOL is kept, once per subset; its
-    load is its cut row times the weights, checked against the flow value.
-    Sorted by load, then by subset.
+    A max-flow below 1 - _CUT_TOL gives two subsets, the vertices outside the
+    source side (the largest minimum cut) and the vertices that reach the sink
+    in the residual network (the smallest); either may be new.  Each with load
+    below 1 - _CUT_TOL is kept, once per subset; its load is its cut row times
+    the weights, checked against the flow value.  The supported stars' rows
+    come from their (center, radius) keys alone, see _incidence.  Sorted by
+    load, then by subset.
     """
     if inst.n <= 1:
         return []
     support = sorted((key, float(w)) for key, w in weights.items() if w > 0.0)
-    leaf, centers = _incidence(inst.n, [star_at(inst, *key) for key, _ in support])
+    leaf, centers = _incidence(inst, [key for key, _ in support])
     return _sweep(np.array([w for _, w in support]), leaf, centers)
 
 
 def _sweep(y: np.ndarray, leaf: np.ndarray, centers: np.ndarray) -> list[CutViolation]:
     """violated_cuts for the support stars in key order: their weights y > 0
     and their incidence leaf, centers (see _incidence), over at least 2
-    vertices."""
+    vertices.  Both minimum cuts of each max-flow, the front one from the
+    final search and the back one from _FlowNetwork.sink_side, pass the same
+    dedupe and the same load-vs-flow check."""
     n = leaf.shape[1]
     inf_cap = n * y.max(initial=0.0) + 1.0  # exceeds 1, so never part of a violated cut
 
@@ -180,16 +214,18 @@ def _sweep(y: np.ndarray, leaf: np.ndarray, centers: np.ndarray) -> list[CutViol
             value, side = net.max_flow(s, sink)
             if value >= 1.0 - _CUT_TOL:
                 continue
-            subset = frozenset(v for v in range(n) if v not in side)
-            if subset in found:
-                continue
-            load = float(_entering(leaf, centers, subset) @ y)
-            if abs(load - value) > _VALUE_TOL:
-                raise LpError(
-                    f"cut load {load} disagrees with flow value {value} for {sorted(subset)}"
-                )
-            if load < 1.0 - _CUT_TOL:
-                found[subset] = CutViolation(subset, load)
+            front = frozenset(v for v in range(n) if v not in side)
+            back = frozenset(v for v in net.sink_side(sink) if v < n)
+            for subset in (front, back):
+                if subset in found:
+                    continue
+                load = float(_entering(leaf, centers, subset) @ y)
+                if abs(load - value) > _VALUE_TOL:
+                    raise LpError(
+                        f"cut load {load} disagrees with flow value {value} for {sorted(subset)}"
+                    )
+                if load < 1.0 - _CUT_TOL:
+                    found[subset] = CutViolation(subset, load)
     return sorted(found.values(), key=lambda cut: (cut.load, sorted(cut.subset)))
 
 
@@ -328,7 +364,7 @@ def lp_lower_bound(inst: Instance) -> FractionalSolution:
     exponent = math.frexp(max(s.radius for s in stars))[1]
     costs = np.ldexp([s.radius for s in stars], -exponent)
     keys = [(s.center, s.radius) for s in stars]
-    leaf, centers = _incidence(n, stars)
+    leaf, centers = _incidence(inst, keys)
     master = _Master(costs)
     seen_rows: set[bytes] = set()
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from minpower.graph import Arc, Instance, Tree
 
@@ -42,13 +44,17 @@ def enumerate_stars(inst: Instance) -> list[Star]:
 
     Radii beyond a center's incident costs add no leaves there, so this list
     (at most 2m entries) is exhaustive for any argmax over stars.  Ordered by
-    (center, radius) ascending.
+    (center, radius) ascending.  Each star's leaves are a prefix of the
+    center's cost-sorted adjacency, so one walk over it yields them all: a
+    star per run of equal costs, ending with that run.
     """
-    return [
-        star_at(inst, u, radius)
-        for u in range(inst.n)
-        for radius in sorted({c for c, _ in inst.adj[u]})
-    ]
+    stars = []
+    for u, incident in enumerate(inst.adj):
+        leaves: list[int] = []
+        for radius, run in groupby(incident, key=itemgetter(0)):
+            leaves.extend(v for _, v in run)
+            stars.append(Star(u, radius, frozenset(leaves)))
+    return stars
 
 
 class CoverState:

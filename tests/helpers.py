@@ -16,6 +16,7 @@ from typing import Iterable
 from minpower.exact import ExactResult, SearchLimits, _induced_strongly_connected
 from minpower.graph import Arc, Instance, PowerAssignment, Tree
 from minpower.greedy import greedy_solve
+from minpower.instances import gen_line, gen_polygon, gen_random_geometric
 from minpower.stars import CoverState, Star, apply_star, marginal_gain, star_at
 
 
@@ -108,6 +109,43 @@ def eager_select_best_star(inst: Instance, state: CoverState) -> tuple[Star, flo
             "coverage accounting is broken"
         )
     return star_at(inst, best_center, best_radius), best_gain
+
+
+def stars_by_radius(inst: Instance) -> list[Star]:
+    """All canonical stars, by one star_at walk per center and distinct cost.
+
+    The construction enumerate_stars replaced with one walk per center, kept
+    as its differential oracle.
+    """
+    return [
+        star_at(inst, u, radius)
+        for u in range(inst.n)
+        for radius in sorted({c for c, _ in inst.adj[u]})
+    ]
+
+
+def star_corpus() -> list[Instance]:
+    """Instances whose stars are easy to get wrong: lines and polygons full of
+    tied costs, sparse graphs, zero-cost edges (one of them -0.0, which the
+    validator accepts and which ties with 0.0), a lone vertex, and random
+    graphs with small integer costs."""
+    rng = random.Random(113)
+    return (
+        [gen_line(n, eps) for n in (1, 2, 3, 5, 8) for eps in (0.25, 0.5)]
+        + [gen_polygon(n)[0] for n in (2, 3, 4, 5)]
+        + [
+            gen_random_geometric(n, kappa, 0, complete=False)
+            for n in (12, 20, 30)
+            for kappa in (1.0, 2.0)
+        ]
+        + [gen_random_geometric(10, 2.0, seed) for seed in (0, 1)]
+        + [
+            Instance.from_edges(3, [(0, 1, 0.0), (1, 2, 1.0), (0, 2, 1.0)]),
+            Instance.from_edges(4, [(0, 1, 0.0), (0, 2, -0.0), (1, 2, 0.0), (2, 3, 2.0)]),
+            Instance.from_edges(1, []),
+        ]
+        + [random_connected_instance(rng, rng.randint(2, 9), complete=i % 3 < 1) for i in range(30)]
+    )
 
 
 def quotient_links(state: CoverState, root: int) -> dict[int, tuple[int, float, int]]:
@@ -366,6 +404,36 @@ def enters_cut(star: Star, subset: frozenset[int] | set[int]) -> bool:
 def cut_load(stars: Iterable[tuple[Star, float]], subset: frozenset[int] | set[int]) -> float:
     """Total weight of the stars entering subset, star by star, by definition."""
     return float(sum(w for star, w in stars if enters_cut(star, subset)))
+
+
+def extreme_min_cuts(
+    inst: Instance, weights: dict[tuple[int, float], float], source: int, sink: int
+) -> tuple[float, frozenset[int], frozenset[int]]:
+    """(load, largest, smallest) over the subsets that hold sink but not
+    source and have the least entering load (n <= 9).
+
+    Minimum cuts are closed under union and intersection, so the union of all
+    least-load subsets is the largest and their intersection the smallest.
+    Loads within 1e-9 of the least count as least; weights on a coarse grid
+    keep distinct loads further apart.  Leaves are read straight from the
+    adjacency, as in exhaustive_min_cut_load.
+    """
+    n = inst.n
+    assert n <= 9
+    support = [
+        (center, frozenset(v for c, v in inst.adj[center] if c <= radius), w)
+        for (center, radius), w in sorted(weights.items())
+    ]
+    loads = {}
+    for mask in range(1 << n):
+        subset = frozenset(v for v in range(n) if mask >> v & 1)
+        if sink in subset and source not in subset:
+            loads[subset] = float(
+                sum(w for center, leaves, w in support if center not in subset and leaves & subset)
+            )
+    least = min(loads.values())
+    tied = [subset for subset, load in loads.items() if load <= least + 1e-9]
+    return least, frozenset.union(*tied), frozenset.intersection(*tied)
 
 
 def exhaustive_min_cut_load(inst: Instance, weights: dict[tuple[int, float], float]):

@@ -65,7 +65,7 @@ def test_lp_digest_is_pinned(monkeypatch):
 
     specs = [minpower.GeneratorSpec.parse(text) for text in LP_SPECS]
     assert len(specs) == 92
-    assert digest(specs, lp_lines) == "03dc7d16e9b44975"
+    assert digest(specs, lp_lines) == "d5f084ab30b60194"
 
 
 def test_exact_digest_is_pinned(monkeypatch):

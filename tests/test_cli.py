@@ -8,13 +8,29 @@ from pathlib import Path
 
 import pytest
 
-from minpower import cli, graph, greedy, lpbound
+from minpower import cli, exact, graph, greedy, lpbound
 from minpower.cli import main
 from minpower.exact import ExactResult, SearchLimits
 from minpower.graph import Instance, PowerAssignment
 from minpower.greedy import greedy_solve
 from minpower.instances import read_instance, write_instance
 from minpower.lpbound import LpError
+
+
+def count_calls(monkeypatch, name, modules):
+    """Route name, wherever modules bind it, through one wrapper that records
+    each call's arguments; returns the list it records to."""
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 @pytest.fixture()
@@ -176,21 +192,8 @@ class TestSolve:
 
     def test_one_lp_and_one_spanning_tree_per_instance(self, tmp_path, monkeypatch, capsys):
         # the oracle hands the CLI the LP it solved, and the greedy its tree
-        def count_calls(name, modules):
-            calls = []
-            original = getattr(modules[0], name)
-
-            def counting(*args):
-                calls.append(args)
-                return original(*args)
-
-            for module in modules:
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, counting)
-            return calls
-
-        lps = count_calls("lp_lower_bound", (lpbound, cli))
-        trees = count_calls("minimum_spanning_tree", (graph, greedy, cli))
+        lps = count_calls(monkeypatch, "lp_lower_bound", (lpbound, cli))
+        trees = count_calls(monkeypatch, "minimum_spanning_tree", (graph, greedy, cli))
         path = tmp_path / "r8.txt"
         assert main(["gen", "family=random-geometric,n=8,kappa=4,seed=17", "--out", str(path)]) == 0
         assert main(["solve", str(path), "--lp"]) == 0
@@ -204,6 +207,14 @@ class TestSolve:
         assert main(["bench", *specs, "--seeds", "0:2", "--exact", "--lp"]) == 3
         assert len(lps) == 4
         assert json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]["certificate_failures"] == 0
+
+    def test_one_greedy_per_instance(self, tmp_path, monkeypatch):
+        # the CLI hands the oracle the greedy solution it already has
+        solves = count_calls(monkeypatch, "greedy_solve", (greedy, exact, cli))
+        path = tmp_path / "r8.txt"
+        assert main(["gen", "family=random-geometric,n=8,kappa=4,seed=17", "--out", str(path)]) == 0
+        assert main(["solve", str(path), "--exact"]) == 0
+        assert len(solves) == 1
 
     def test_records_are_deterministic(self, line_instance, tmp_path):
         out1, out2 = tmp_path / "r1.jsonl", tmp_path / "r2.jsonl"
@@ -316,7 +327,7 @@ class TestVerdict:
         assert summary["exact_not_optimal"] == 2
 
     def test_greedy_above_ratio_of_opt_fails(self, r6_instance, monkeypatch, capsys):
-        def half_greedy(inst, limits):
+        def half_greedy(inst, limits, incumbent):
             opt = greedy_solve(inst).total_power / 2
             return ExactResult("optimal", opt, PowerAssignment((opt,) + (0.0,) * (inst.n - 1)), 0)
 

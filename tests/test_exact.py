@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,7 @@ from minpower.exact import (
 )
 from minpower.graph import Instance, PowerAssignment, minimum_spanning_tree
 from minpower.greedy import greedy_solve
-from minpower.instances import gen_polygon, gen_random_geometric
+from minpower.instances import GeneratorSpec, gen_polygon, gen_random_geometric
 from minpower.lpbound import LpError, lp_lower_bound
 
 
@@ -101,6 +102,26 @@ def lp_free_corpus():
         inst = helpers.random_connected_instance(rng, 2 + i % 6, complete=bool(i % 2))
         yield f"int-{i}", inst
     yield "rgg-8-4-17", gen_random_geometric(8, 4.0, 17)
+
+
+class TestIncumbent:
+    """A caller's greedy solution stands in for the oracle's own greedy run."""
+
+    def test_result_is_the_same_with_the_callers_greedy(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+        from output_digest import EXACT_LIMITS, EXACT_SPECS
+
+        def outcome(res):
+            return res.status, res.opt.hex(), res.proof, res.nodes, res.assignment
+
+        for text in EXACT_SPECS:
+            inst = GeneratorSpec.parse(text).build()[0]
+            given = exact_optimum(inst, EXACT_LIMITS, incumbent=greedy_solve(inst))
+            assert outcome(given) == outcome(exact_optimum(inst, EXACT_LIMITS)), text
+
+    def test_incumbent_of_another_instance_is_refused(self):
+        with pytest.raises(ValueError, match="different instance"):
+            exact_optimum(triangle(), incumbent=greedy_solve(gen_random_geometric(3, 2.0, 0)))
 
 
 class TestLpFreeDifferential:

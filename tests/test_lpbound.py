@@ -94,13 +94,17 @@ class TestLowerBound:
 class TestWorkCounters:
     """Rounds, cuts and pivots are deterministic, so they can be compared across
     machines; the values stay within 1e-9 of those of the master that added
-    only the most violated cut per round and factored every basis afresh."""
+    only the most violated cut per round and factored every basis afresh.
+    Separation adds both minimum cuts of each max-flow, the one nearest the
+    source and the one nearest the sink, which took (40, 0) from 15 rounds to
+    5, (60, 2) from 16 to 4 and (80, 1) from 58 to 5, with the same values."""
 
     @pytest.mark.parametrize(
         "n,seed,counters,value",
         [
-            (40, 0, (15, 153, 139), "0x1.58f7c7616ce98p-1"),
-            (60, 2, (16, 272, 278), "0x1.36b5fb0f77f95p-1"),
+            (40, 0, (5, 156, 107), "0x1.58f7c7616ce98p-1"),
+            (60, 2, (4, 232, 199), "0x1.36b5fb0f77f95p-1"),
+            (80, 1, (5, 326, 428), "0x1.3cea1e2ce20eep-1"),
         ],
     )
     def test_counters_are_pinned(self, n, seed, counters, value):
@@ -238,6 +242,18 @@ class TestWarmMaster:
         assert rows == expected
 
 
+class TestIncidence:
+    def test_rows_are_the_leaves(self):
+        for inst in helpers.star_corpus():
+            stars = enumerate_stars(inst)
+            leaf, centers = lpbound._incidence(inst, [(s.center, s.radius) for s in stars])
+            assert leaf.shape == (len(stars), inst.n)
+            assert [frozenset(np.flatnonzero(row).tolist()) for row in leaf] == [
+                s.leaves for s in stars
+            ]
+            assert centers.tolist() == [s.center for s in stars]
+
+
 class TestMasterFailures:
     def test_singular_basis_is_lp_error(self):
         master = lpbound._Master(np.array([1.0, 2.0]))
@@ -319,6 +335,34 @@ class TestSeparation:
                 assert cut.load < 1.0 - 1e-7
             assert most_violated_cut(inst, weights) == (cuts[0] if cuts else None)
 
+    def test_both_minimum_cuts_of_each_flow_are_reported(self):
+        # the sweep's max-flows run from 0 to t and from t to 0; each one below
+        # 1 yields its largest and its smallest least-load subset, found here
+        # by enumeration, and nothing else is reported
+        rng = random.Random(127)
+        differ = 0
+        for _ in range(20):
+            inst = helpers.random_connected_instance(rng, rng.randint(3, 7))
+            stars = enumerate_stars(inst)
+            weights = {
+                (s.center, s.radius): rng.randint(1, 8) / 16 for s in stars if rng.random() < 0.3
+            }
+            support = [
+                (s, weights[s.center, s.radius]) for s in stars if (s.center, s.radius) in weights
+            ]
+            expected = set()
+            for t in range(1, inst.n):
+                for source, sink in ((0, t), (t, 0)):
+                    load, front, back = helpers.extreme_min_cuts(inst, weights, source, sink)
+                    if load < 1.0 - 1e-7:
+                        expected |= {front, back}
+                        differ += front != back
+            cuts = violated_cuts(inst, weights)
+            assert {cut.subset for cut in cuts} == expected
+            for cut in cuts:
+                assert cut_load(support, cut.subset) == cut.load
+        assert differ > 0
+
     def test_agrees_with_exhaustive_enumeration(self):
         rng = random.Random(101)
         for _ in range(30):
@@ -392,6 +436,22 @@ class TestFlowNetwork:
             assert cut_capacity(arcs, side) == pytest.approx(value, abs=1e-9)
             net.cap[:] = capacities
             assert net.max_flow(s, t) == (value, side)
+
+    def test_back_cut_is_a_minimum_cut_inside_the_front_cut(self):
+        rng = random.Random(223)
+        for _ in range(400):
+            n, arcs = random_network(rng)
+            net = lpbound._FlowNetwork(n)
+            for u, v, c in arcs:
+                net.add_edge(u, v, c)
+            s, t = rng.sample(range(n), 2)
+            value, side = net.max_flow(s, t)
+            back = net.sink_side(t)
+            assert t in back and s not in back
+            assert back.isdisjoint(side)  # inside the front cut's sink side
+            source_side = set(range(n)) - back
+            assert cut_capacity(arcs, source_side) == pytest.approx(value, abs=1e-9)
+            assert value == pytest.approx(brute_force_min_cut(n, arcs, s, t), abs=1e-9)
 
 
 class TestCrossingStarPairs:

@@ -60,6 +60,12 @@ class TestEnumerateStars:
         assert len(at_zero) == 1
         assert at_zero[0].leaves == frozenset({1, 2})
 
+    def test_matches_star_at_per_radius(self):
+        for inst in helpers.star_corpus():
+            assert [(s.center, s.radius.hex(), s.leaves) for s in enumerate_stars(inst)] == [
+                (s.center, s.radius.hex(), s.leaves) for s in helpers.stars_by_radius(inst)
+            ]
+
     def test_count_bounded_by_2m(self):
         rng = random.Random(5)
         for _ in range(20):
