@@ -2,18 +2,27 @@
 """Digest the solvers' exact outputs on fixed corpora, to show that a change
 leaves them bit-identical.
 
-Prints three lines.  The greedy digest covers every trace entry (center,
+Prints four lines.  The greedy digest covers every trace entry (center,
 radius, gain and power, as float hex) and the total power of each instance; the
 LP digest covers each instance's bound value (float hex), rounds, constraints
 and simplex pivots; the exact digest covers each instance's oracle status and
-optimum (float hex).  Run it on two checkouts and compare the lines.  --max-n
-keeps only the specs with n up to the given value, for a quick run.
+optimum (float hex); the tree digest covers every minimum spanning tree edge
+(endpoints and cost as float hex), in the tree's order, on the greedy corpus.
+Run it on two checkouts and compare the lines.  --max-n keeps only the specs
+with n up to the given value, for a quick run.
 """
 
 import argparse
 import hashlib
 
-from minpower import GeneratorSpec, SearchLimits, exact_optimum, greedy_solve, lp_lower_bound
+from minpower import (
+    GeneratorSpec,
+    SearchLimits,
+    exact_optimum,
+    greedy_solve,
+    lp_lower_bound,
+    minimum_spanning_tree,
+)
 
 GREEDY_SPECS = (
     [f"family=line,n={n},eps={eps}" for eps in (0.25, 0.0078125) for n in (2, 5, 10, 25, 50)]
@@ -60,6 +69,11 @@ EXACT_SPECS = [
 EXACT_LIMITS = SearchLimits(max_vertices=10)
 
 
+def tree_lines(inst):
+    for u, v, c in minimum_spanning_tree(inst).edges:
+        yield f"{u} {v} {c.hex()}"
+
+
 def greedy_lines(inst):
     solution = greedy_solve(inst)
     for entry in solution.trace:
@@ -98,6 +112,7 @@ def main() -> None:
         ("greedy", GREEDY_SPECS, greedy_lines),
         ("lp", LP_SPECS, lp_lines),
         ("exact", EXACT_SPECS, exact_lines),
+        ("tree", GREEDY_SPECS, tree_lines),
     )
     for name, texts, lines in corpora:
         specs = [GeneratorSpec.parse(text) for text in texts]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from heapq import heappop, heappush
 from math import isfinite
 from typing import Iterable
 
@@ -28,7 +29,8 @@ class Instance:
 
     Edges are normalized to (u, v, cost) with u < v; both orientations of an
     edge share the cost.  Use :meth:`from_edges` to validate raw input; the
-    plain constructor trusts its arguments.
+    plain constructor trusts its arguments, and the generators, which call it
+    directly, keep u < v too: minimum_spanning_tree's tie order relies on it.
     """
 
     n: int
@@ -158,31 +160,53 @@ class PowerAssignment:
 
 
 def minimum_spanning_tree(inst: Instance) -> Tree:
-    """Kruskal MST with deterministic tie-breaking by (cost, endpoints).
+    """Minimum spanning tree, ties broken by (cost, min endpoint, max endpoint).
 
-    Ties are resolved by sorting on (cost, min endpoint, max endpoint), so
-    identical instances produce identical trees on every platform.
+    Lazy Prim from vertex 0 over the cost-sorted adjacency.  Each tree vertex
+    u keeps a position in adj[u] and one heap entry: the first neighbour there
+    not yet in the tree.  An entry whose neighbour has joined since is stale;
+    popping it moves u's position on and pushes u's next entry.
+
+    For a fixed u, the (cost, neighbour) order of adj[u] is the (cost, min,
+    max) order of u's edges.  That order is strict and total, so the minimum
+    spanning tree is unique, and Prim picks exactly the edges Kruskal picks
+    scanning all edges in that order.  They are returned as (u, v, cost) with
+    u < v, sorted in that order: the tuple Kruskal builds, with the same cost
+    objects, on every platform.  Raises InstanceError if inst is not connected.
     """
-    order = sorted((c, u, v) for u, v, c in inst.edges)
-    parent = list(range(inst.n))
+    n = inst.n
+    adj = inst.adj
+    in_tree = bytearray(n)
+    position = [0] * n  # position[u]: first entry of adj[u] not yet passed
+    heap: list[tuple[float, int, int, int]] = []  # (cost, min, max, tree vertex)
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def push(u: int) -> None:
+        incident = adj[u]
+        i = position[u]
+        while i < len(incident) and in_tree[incident[i][1]]:
+            i += 1
+        position[u] = i
+        if i < len(incident):
+            c, v = incident[i]
+            heappush(heap, (c, u, v, u) if u < v else (c, v, u, u))
 
-    picked: list[tuple[int, int, float]] = []
-    for c, u, v in order:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            picked.append((u, v, c))
-            if len(picked) == inst.n - 1:
+    picked: list[tuple[float, int, int]] = []
+    in_tree[0] = 1
+    push(0)
+    while heap:
+        c, a, b, u = heappop(heap)
+        v = a if b == u else b
+        if not in_tree[v]:
+            in_tree[v] = 1
+            picked.append((c, a, b))
+            if len(picked) == n - 1:
                 break
-    if len(picked) != inst.n - 1:
+            push(v)
+        push(u)
+    if len(picked) != n - 1:
         raise InstanceError("instance not connected")
-    return Tree(inst.n, tuple(picked))
+    picked.sort()
+    return Tree(n, tuple((a, b, c) for c, a, b in picked))
 
 
 def bidirect(tree: Tree) -> set[Arc]:

@@ -164,8 +164,9 @@ def select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:
     terms in the same order, and rounded addition is monotone.  So stale tops
     are rescanned until the top is current; that top is the argmax, and it
     stays in the heap as the next call's bound.  Centers whose gain reaches 0
-    leave the heap for good.  The quotient's parent links are read once per
-    call, and every rescan climbs those same links.
+    leave the heap for good.  Every rescan climbs the same parent links of
+    the quotient, which the state builds once per labelling, so the
+    marginal_gain of the pick reuses them too.
 
     Zero-gain stars are skipped: while any tree edge is uncovered, the star at
     one endpoint with the edge's own cost as radius has positive gain and ratio

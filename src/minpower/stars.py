@@ -96,6 +96,8 @@ class CoverState:
         for v, p, _, _ in rooted:  # the list grows while it is walked
             rooted.extend((w, v, c, idx) for w, c, idx in nbrs[v] if w != p)
         self._rooted = rooted[1:]
+        # set by links(), reset by _merge
+        self._links: dict[int, tuple[int, float, int]] | None = None
 
     @property
     def all_covered(self) -> bool:
@@ -126,13 +128,17 @@ class CoverState:
         index) of the uncovered edge leading toward label[0].  A component is a
         subtree of the tree rooted at vertex 0, so that edge is the one above
         its vertex nearest 0; the edges above its other vertices are covered.
+        Built once per labelling and shared by every caller until the next
+        merge, so callers must not mutate it.
         """
-        label = self.label
-        return {
-            label[v]: (label[p], c, idx)
-            for v, p, c, idx in self._rooted
-            if label[v] != label[p]
-        }
+        if self._links is None:
+            label = self.label
+            self._links = {
+                label[v]: (label[p], c, idx)
+                for v, p, c, idx in self._rooted
+                if label[v] != label[p]
+            }
+        return self._links
 
     def _merge(self, a: int, b: int) -> None:
         la, lb = self.label[a], self.label[b]
@@ -142,6 +148,7 @@ class CoverState:
             self.label[v] = la
         self._members[la].extend(self._members[lb])
         del self._members[lb]
+        self._links = None
 
 
 def root_path(

@@ -14,10 +14,39 @@ from time import perf_counter
 from typing import Iterable
 
 from minpower.exact import ExactResult, SearchLimits, _induced_strongly_connected
-from minpower.graph import Arc, Instance, PowerAssignment, Tree
+from minpower.graph import Arc, Instance, InstanceError, PowerAssignment, Tree
 from minpower.greedy import greedy_solve
 from minpower.instances import gen_line, gen_polygon, gen_random_geometric
 from minpower.stars import CoverState, Star, apply_star, marginal_gain, star_at
+
+
+def kruskal_tree(inst: Instance) -> tuple[tuple[int, int, float], ...]:
+    """Edges of the minimum spanning tree by Kruskal over all edges sorted by
+    (cost, u, v), in the order picked.
+
+    The algorithm minimum_spanning_tree used before it became a lazy Prim over
+    the sorted adjacency, kept as its differential oracle.
+    """
+    order = sorted((c, u, v) for u, v, c in inst.edges)
+    parent = list(range(inst.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    picked: list[tuple[int, int, float]] = []
+    for c, u, v in order:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[ru] = rv
+            picked.append((u, v, c))
+            if len(picked) == inst.n - 1:
+                break
+    if len(picked) != inst.n - 1:
+        raise InstanceError("instance not connected")
+    return tuple(picked)
 
 
 def eager_select_best_star(inst: Instance, state: CoverState) -> tuple[Star, float]:

@@ -78,3 +78,14 @@ def test_exact_digest_is_pinned(monkeypatch):
     specs = [minpower.GeneratorSpec.parse(text) for text in EXACT_SPECS]
     assert len(specs) == 29
     assert digest(specs, exact_lines) == "04a60d89f312eeaf"
+
+
+def test_tree_digest_is_pinned(monkeypatch):
+    # every minimum spanning tree edge (endpoints and cost as float hex), in the
+    # tree's order, on the greedy corpus: the value Kruskal over all edges
+    # sorted by (cost, u, v) gives, which the lazy Prim must reproduce
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    from output_digest import GREEDY_SPECS, digest, tree_lines
+
+    specs = [minpower.GeneratorSpec.parse(text) for text in GREEDY_SPECS]
+    assert digest(specs, tree_lines) == "7e5110494da2412e"

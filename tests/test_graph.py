@@ -103,6 +103,43 @@ class TestMinimumSpanningTree:
             best = min(sum(c for _, _, c in combo) for combo in helpers.all_spanning_trees(inst))
             assert tree.total_cost == best
 
+    def test_matches_kruskal(self):
+        # the edges Kruskal picks over all edges sorted by (cost, u, v), in that
+        # order and with the same costs; a -0.0 cost equals 0.0, so hex tells
+        # them apart
+        from minpower.instances import gen_line, gen_polygon, gen_random_geometric
+
+        rng = random.Random(29)
+        cases = [gen_line(n, eps) for n in (1, 2, 10, 50) for eps in (0.25, 2.0**-7)]
+        cases += [gen_polygon(n)[0] for n in range(2, 6)]
+        cases += [
+            gen_random_geometric(40, kappa, 3, complete=complete)
+            for kappa in (1.0, 2.0, 4.0, 20.0)
+            for complete in (True, False)
+        ]
+        cases += [
+            helpers.random_connected_instance(rng, rng.randint(2, 12), complete=i % 2 == 0)
+            for i in range(40)
+        ]
+        # costs 1 and 2 only: many minimum spanning trees, and the tie order picks one
+        for _ in range(20):
+            n = rng.randint(3, 12)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            two_costs = [(u, v, float(rng.randint(1, 2))) for u, v in pairs]
+            cases.append(Instance.from_edges(n, two_costs))
+        pairs = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+        signed_zeros = [(u, v, rng.choice((0.0, -0.0, 1.0))) for u, v in pairs]
+        cases += [Instance.from_edges(6, signed_zeros), Instance.from_edges(1, [])]
+        for inst in cases:
+            edges = minimum_spanning_tree(inst).edges
+            expected = helpers.kruskal_tree(inst)
+            assert edges == expected
+            assert [c.hex() for _, _, c in edges] == [c.hex() for _, _, c in expected]
+
+    def test_disconnected_trusted_instance_rejected(self):
+        with pytest.raises(InstanceError, match="instance not connected"):
+            minimum_spanning_tree(Instance(4, ((0, 1, 1.0), (2, 3, 1.0))))
+
 
 class TestBidirect:
     def test_single_edge(self):
